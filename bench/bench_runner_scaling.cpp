@@ -147,7 +147,7 @@ main(int argc, char **argv)
         return 1;
     }
     out << "{\n  \"bench\": \"runner_scaling\",\n";
-    out << "  \"host\": \"" << bench::kHostNote << "\",\n";
+    out << "  \"host\": \"" << bench::hostNote() << "\",\n";
     out << "  \"grid_cells\": " << specs.size() << ",\n";
     out << "  \"host_cores\": " << cores << ",\n";
     out << "  \"results\": [\n";

@@ -22,20 +22,14 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include <sys/resource.h>
-
-#include "core/digest.hh"
-#include "core/fleet.hh"
 #include "core/profiler.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/cost_model.hh"
 #include "models/zoo.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_engine.hh"
 #include "soc/board.hh"
 #include "trt/builder.hh"
 
@@ -98,49 +92,6 @@ BM_SchedulerContention(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SchedulerContention)->Arg(2)->Arg(8)->Arg(16);
-
-/** The fleet spec both the BM_ShardedEngine series and the --json
- * shard block run: 8 devices over both boards with balancer plus
- * local traffic, sized so every shard owns real work. */
-static core::FleetSpec
-shardBenchSpec()
-{
-    core::FleetSpec spec;
-    for (int d = 0; d < 8; ++d)
-        spec.devices.push_back({d % 2 ? "nano" : "orin-nano",
-                                d % 4 < 2 ? "resnet18" : "mobilenet_v2",
-                                soc::Precision::Int8, 1, 60.0});
-    spec.balancer_rate = 500.0;
-    spec.warmup = sim::msec(20);
-    spec.duration = sim::msec(250);
-    spec.seed = 29;
-    return spec;
-}
-
-static void
-BM_ShardedEngine(benchmark::State &state)
-{
-    // Throughput of the epoch path at shards == threads == range(0);
-    // shards=1 is the serial EventQueue baseline through the same
-    // fleet. Items processed == simulated events, so the reported
-    // items/s is directly the events/s scaling curve.
-    const int shards = static_cast<int>(state.range(0));
-    const core::FleetSpec spec = shardBenchSpec();
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        core::FleetOptions o;
-        o.shards = shards;
-        o.threads = shards;
-        const auto r = core::runFleet(spec, o);
-        events = r.events;
-        benchmark::DoNotOptimize(r.dispatched);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(
-    benchmark::kMillisecond);
 
 static void
 BM_KernelCostModel(benchmark::State &state)
@@ -260,130 +211,6 @@ fullCellMs(int processes, int reps)
            });
 }
 
-struct ShardPoint
-{
-    int shards;
-    double events_per_sec;
-    double speedup;
-    bool digest_match;
-};
-
-/**
- * The sharded scaling series for the JSON record: the shard-bench
- * fleet at shards == threads in {1, 2, 4, 8}, each point's digest
- * compared against the serial run. events_per_sec counts simulated
- * events (FleetResult::events, shard-count-invariant), so speedup is
- * a pure wall-clock ratio.
- */
-std::vector<ShardPoint>
-shardSeries(int reps, std::uint64_t &events_out)
-{
-    const core::FleetSpec spec = shardBenchSpec();
-    const auto serial = core::runFleet(spec, {});
-    const auto want = core::resultDigest(serial);
-    events_out = serial.events;
-
-    std::vector<ShardPoint> out;
-    double serial_evps = 0.0;
-    for (const int shards : {1, 2, 4, 8}) {
-        core::FleetOptions o;
-        o.shards = shards;
-        o.threads = shards;
-        bool match = true;
-        const double s = minSeconds(reps, [&spec, &o, &want, &match] {
-            const auto r = core::runFleet(spec, o);
-            match = match && core::resultDigest(r) == want;
-        });
-        const double evps = static_cast<double>(serial.events) / s;
-        if (shards == 1)
-            serial_evps = evps;
-        out.push_back({shards, evps,
-                       serial_evps > 0.0 ? evps / serial_evps : 0.0,
-                       match});
-    }
-    return out;
-}
-
-/** The 1000-board hierarchical fleet (two-hop root -> sub-balancer
- * dispatch): the ISSUE 9 headline configuration, matching the
- * simcheck --fleet-overhead spec and the Fleet.ThousandBoard test. */
-core::FleetSpec
-fleet1000Spec()
-{
-    core::FleetSpec spec;
-    for (int d = 0; d < 1000; ++d)
-        spec.devices.push_back({"orin-nano", "mobilenet_v2",
-                                soc::Precision::Int8, 1, 0.0});
-    spec.balancer_rate = 25.0 * 1000;
-    spec.hierarchical = true;
-    spec.warmup = sim::msec(4);
-    spec.duration = sim::msec(30);
-    spec.seed = 23;
-    return spec;
-}
-
-struct Fleet1000Point
-{
-    int shards;
-    int threads;
-    double events_per_sec;
-    double ratio_vs_serial;
-    bool digest_match;
-    std::uint64_t epochs;
-    std::uint64_t barriers;
-};
-
-/**
- * The thousand-board series: serial baseline, then the epoch path
- * with parallelism removed (shards=8/threads=1 and shards=16/
- * threads=1 — pure protocol overhead, the CI pass-1c gate shape)
- * and one genuinely threaded point. epochs/barriers record how hard
- * adaptive batching fused lookahead windows (epochs << messages).
- */
-std::vector<Fleet1000Point>
-fleet1000Series(int reps, std::uint64_t &events_out)
-{
-    const core::FleetSpec spec = fleet1000Spec();
-    const auto serial = core::runFleet(spec, {});
-    const auto want = core::resultDigest(serial);
-    events_out = serial.events;
-
-    std::vector<Fleet1000Point> out;
-    double serial_evps = 0.0;
-    for (const auto &[shards, threads] :
-         {std::pair{1, 1}, std::pair{8, 1}, std::pair{16, 1},
-          std::pair{16, 2}}) {
-        core::FleetOptions o;
-        o.shards = shards;
-        o.threads = threads;
-        bool match = true;
-        core::FleetResult last;
-        const double s =
-            minSeconds(reps, [&spec, &o, &want, &match, &last] {
-                last = core::runFleet(spec, o);
-                match = match && core::resultDigest(last) == want;
-            });
-        const double evps = static_cast<double>(serial.events) / s;
-        if (shards == 1)
-            serial_evps = evps;
-        out.push_back({shards, threads, evps,
-                       serial_evps > 0.0 ? evps / serial_evps : 0.0,
-                       match, last.epochs, last.barriers});
-    }
-    return out;
-}
-
-/** Peak resident set (MB) of this process so far — after the 1000-
- * board series it bounds the fleet's memory footprint. */
-double
-peakRssMb()
-{
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) != 0)
-        return 0.0;
-    return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
 /**
  * sbo_misses after the steady-state schedule workload: every hot-path
  * callback (`this` + small ids) must fit InlineFn's inline buffer, so
@@ -410,13 +237,12 @@ constexpr double kSeedScheduleRunEvPerSec = 7.97e6;
 constexpr double kSeedCancelHeavyEvPerSec = 7.30e6;
 constexpr double kSeedFullCell1Ms = 9.00;
 constexpr double kSeedFullCell4Ms = 10.6;
-/** bench::kHostNote plus the cross-reference to the seed numbers. */
-const std::string kHostNote = std::string(bench::kHostNote) +
-    "; same flags and host class as the seed baselines and "
-    "BENCH_runner.json; shared-host absolute numbers drift between "
-    "records (all sections are re-measured together, so compare "
-    "within one record); the sharded_fleet series on a 1-core host "
-    "records scheduling overhead, not scaling - see the cores field";
+/** bench::hostNote() plus how to read the seed numbers. */
+const std::string kHostNote = bench::hostNote() +
+    "; the seed baselines were measured on a 1-core Intel Xeon "
+    "container; shared-host absolute numbers drift between records "
+    "(all sections are re-measured together, so compare within one "
+    "record)";
 
 int
 emitJson(const std::string &path)
@@ -426,11 +252,6 @@ emitJson(const std::string &path)
     const double cancel = cancelHeavyEventsPerSec(400);
     const double cell1 = fullCellMs(1, 6);
     const double cell4 = fullCellMs(4, 6);
-    std::uint64_t fleet_events = 0;
-    const auto shard_pts = shardSeries(4, fleet_events);
-    std::uint64_t fleet1000_events = 0;
-    const auto fleet1000_pts = fleet1000Series(3, fleet1000_events);
-    const double peak_rss_mb = peakRssMb();
 
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
@@ -461,49 +282,6 @@ emitJson(const std::string &path)
     std::fprintf(f, "    \"seed_procs4_ms\": %.2f,\n", kSeedFullCell4Ms);
     std::fprintf(f, "    \"procs4_speedup\": %.2f\n",
                  kSeedFullCell4Ms / cell4);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"sharded_fleet\": {\n");
-    std::fprintf(f, "    \"events\": %llu,\n",
-                 static_cast<unsigned long long>(fleet_events));
-    std::fprintf(f, "    \"cores\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "    \"series\": [\n");
-    for (std::size_t i = 0; i < shard_pts.size(); ++i) {
-        const auto &p = shard_pts[i];
-        std::fprintf(f,
-                     "      {\"shards\": %d, \"threads\": %d, "
-                     "\"events_per_sec\": %.3e, "
-                     "\"speedup_vs_serial\": %.2f, "
-                     "\"digest_match\": %s}%s\n",
-                     p.shards, p.shards, p.events_per_sec, p.speedup,
-                     p.digest_match ? "true" : "false",
-                     i + 1 < shard_pts.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"sharded_fleet_1000\": {\n");
-    std::fprintf(f, "    \"boards\": 1000,\n");
-    std::fprintf(f, "    \"hierarchical\": true,\n");
-    std::fprintf(f, "    \"events\": %llu,\n",
-                 static_cast<unsigned long long>(fleet1000_events));
-    std::fprintf(f, "    \"peak_rss_mb\": %.1f,\n", peak_rss_mb);
-    std::fprintf(f, "    \"series\": [\n");
-    for (std::size_t i = 0; i < fleet1000_pts.size(); ++i) {
-        const auto &p = fleet1000_pts[i];
-        std::fprintf(f,
-                     "      {\"shards\": %d, \"threads\": %d, "
-                     "\"events_per_sec\": %.3e, "
-                     "\"ratio_vs_serial\": %.2f, "
-                     "\"digest_match\": %s, "
-                     "\"epochs\": %llu, \"barriers\": %llu}%s\n",
-                     p.shards, p.threads, p.events_per_sec,
-                     p.ratio_vs_serial,
-                     p.digest_match ? "true" : "false",
-                     static_cast<unsigned long long>(p.epochs),
-                     static_cast<unsigned long long>(p.barriers),
-                     i + 1 < fleet1000_pts.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"event_queue_sbo_misses\": %llu,\n",
                  static_cast<unsigned long long>(

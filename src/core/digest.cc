@@ -114,9 +114,8 @@ resultDigest(const FleetResult &r)
     d.add(r.total_throughput);
     d.add(r.p99_ms);
     d.add(r.dispatched);
-    // Structural check: total events executed is the same simulation
-    // regardless of shard/thread topology. epochs/merge_steps are
-    // deliberately excluded (mode diagnostics).
+    // Structural check: the same simulation executes the same
+    // number of events.
     d.add(r.events);
     return d.value();
 }

@@ -27,12 +27,10 @@ std::uint64_t resultDigest(const ExperimentResult &r);
 std::uint64_t resultDigest(const MixedExperimentResult &r);
 
 /**
- * Digest of a fleet result. Folds only topology-invariant fields —
- * per-board serving metrics, balancer decisions, and the total
- * executed-event count — never the engine's epoch/merge diagnostics,
- * which legitimately vary with (shards, threads). Equality of this
- * digest across configurations *is* the sharded engine's bit-identity
- * claim (tests/sim/sharded_diff_test.cc, CI pass 1c).
+ * Digest of a fleet result: the spec label, per-board serving
+ * metrics, balancer decisions and the executed-event count.
+ * GOLDEN_fleet.json records it for the committed fleet suite
+ * (`simcheck --fleet-golden`, the `fleet_golden` ctest).
  */
 std::uint64_t resultDigest(const FleetResult &r);
 

@@ -2,19 +2,16 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
 #include "models/zoo.hh"
 #include "prof/cdf.hh"
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
 #include "soc/board.hh"
 #include "soc/device_spec.hh"
-#include "soc/shard_map.hh"
 #include "workload/serving_process.hh"
 
 namespace jetsim::core {
@@ -69,7 +66,7 @@ FleetSpec::label() const
 
 namespace {
 
-/** One board's full simulation stack, pinned to its shard's queue. */
+/** One board's full simulation stack on the fleet's queue. */
 struct Node
 {
     Node(const FleetDevice &d, sim::EventQueue &eq, std::uint64_t seed)
@@ -93,39 +90,34 @@ struct Node
 };
 
 /**
- * The central dispatcher: fleet-wide Poisson arrivals on shard 0,
- * round-robin over deployed boards, each decision posted through the
- * engine's cross-shard path with the spec's dispatch latency.
+ * The central dispatcher: fleet-wide Poisson arrivals, round-robin
+ * over deployed boards, each decision posted as a queue message with
+ * the spec's dispatch latency.
  *
- * Hierarchical mode (FleetSpec::hierarchical) splits the dispatch in
- * two: the *root* (this struct, alone on the reserved shard 0 of
- * soc::ShardMap::balancerReserved) posts the decision to the target
- * shard's *sub-balancer*, which forwards it to the device over a
- * shard-local port after fanout_latency. The root's port is the
- * engine's only cross-shard source, so adaptive epoch batching fuses
- * all device-shard work between consecutive root arrivals; the sub
- * hop rides the message seq band (sub ports are local_only), keeping
- * the two-hop dispatch order topology-invariant.
+ * Messages carry the explicit seq (hop << 32) | per-hop counter in
+ * EventQueue's message band: hop 0 is the root dispatch, hop 1 the
+ * hierarchical sub-balancer's forward. A dispatch therefore beats
+ * any board event tied with it at the same (tick, priority), and a
+ * root message beats a tied forward. GOLDEN_fleet.json encodes this
+ * order.
  */
 struct Balancer
 {
-    sim::ShardedEngine &engine;
-    sim::EventQueue &eq; ///< shard 0 — where decisions execute
+    enum Hop : int { kRoot = 0, kSub = 1 };
+
+    sim::EventQueue &eq;
     sim::Rng rng;
-    int port;
     double rate;
     sim::Tick latency;
-    sim::Tick fanout;      ///< sub->device hop (hierarchical only)
+    sim::Tick fanout; ///< sub->device hop (hierarchical only)
     bool hierarchical;
-    /** Shard -> local_only sub-balancer port; -1 off the hierarchy
-     * (never indexed in flat mode). Immutable during the run. */
-    std::vector<int> sub_ports;
-    /** (dst shard, server), in device order — the round-robin ring. */
-    std::vector<std::pair<int, workload::ServingProcess *>> targets;
+    /** Deployed servers in device order — the round-robin ring. */
+    std::vector<workload::ServingProcess *> targets;
     std::size_t next = 0;
     bool measuring = false;
     bool stopped = false;
     std::uint64_t dispatched = 0;
+    std::uint32_t sent[2] = {0, 0}; ///< per-hop message counters
 
     void
     scheduleNext()
@@ -140,84 +132,75 @@ struct Balancer
     }
 
     void
+    post(Hop hop, sim::Tick when, sim::EventQueue::Callback cb)
+    {
+        const std::uint64_t seq =
+            (static_cast<std::uint64_t>(hop) << 32) | sent[hop]++;
+        eq.scheduleMessage(when, std::move(cb),
+                           sim::EventQueue::kPriDefault, seq);
+    }
+
+    void
     onArrival()
     {
         if (stopped)
             return;
-        const auto [shard, srv] = targets[next];
+        workload::ServingProcess *srv = targets[next];
         next = (next + 1) % targets.size();
         if (measuring)
             ++dispatched;
-        // The request's latency clock starts here; the dispatch hop
-        // is the fleet's one cross-shard edge (= engine lookahead).
+        // The request's latency clock starts here.
         const sim::Tick origin = eq.now();
         if (!hierarchical) {
-            engine.post(port, shard, origin + latency,
-                        [srv, origin] { srv->injectArrival(origin); });
+            post(kRoot, origin + latency,
+                 [srv, origin] { srv->injectArrival(origin); });
         } else {
-            // Two-hop: root -> sub (cross-shard, dispatch latency)
-            // -> device (shard-local, fanout latency). The sub
-            // callback reads only immutable balancer state, so the
-            // forward hop is safe on any worker thread; arrival is
-            // at origin + latency + fanout at any shard count.
-            const int sub = sub_ports[static_cast<std::size_t>(shard)];
-            engine.post(port, shard, origin + latency,
-                        [this, sub, shard, srv, origin] {
-                            engine.post(
-                                sub, shard,
-                                engine.shard(shard).now() + fanout,
-                                [srv, origin] {
-                                    srv->injectArrival(origin);
-                                });
-                        });
+            post(kRoot, origin + latency, [this, srv, origin] {
+                post(kSub, eq.now() + fanout,
+                     [srv, origin] { srv->injectArrival(origin); });
+            });
         }
         scheduleNext();
     }
 };
 
-/** Per-device leaf of the deterministic result reduction tree. */
-struct Partial
+/** Sum @p xs by folding halves (x[i] += x[i + half]) down to x[0]:
+ * the fleet throughput's fixed, digested summation order. */
+double
+foldHalves(std::vector<double> xs)
 {
-    FleetDeviceResult dev;
-    std::vector<double> samples; ///< request latencies (ticks)
-    double throughput = 0.0;
-};
+    for (std::size_t width = xs.size(); width > 1;) {
+        const std::size_t half = (width + 1) / 2;
+        for (std::size_t i = 0; i + half < width; ++i)
+            xs[i] += xs[i + half];
+        width = half;
+    }
+    return xs.empty() ? 0.0 : xs[0];
+}
 
 } // namespace
 
 FleetResult
-runFleet(const FleetSpec &spec, const FleetOptions &opts)
+runFleet(const FleetSpec &spec)
 {
     JETSIM_ASSERT(!spec.devices.empty());
     JETSIM_ASSERT(spec.dispatch_latency >= 1);
     JETSIM_ASSERT(!spec.hierarchical || spec.fanout_latency >= 1);
 
     const int n = static_cast<int>(spec.devices.size());
-    const int want_shards = opts.shards < 1 ? 1 : opts.shards;
-    const auto map = spec.hierarchical
-                         ? soc::ShardMap::balancerReserved(
-                               n, want_shards)
-                         : soc::ShardMap::roundRobin(n, want_shards);
-
-    sim::ShardedEngine::Options eopts;
-    eopts.shards = map.shards();
-    eopts.threads = opts.threads < 1 ? 1 : opts.threads;
-    eopts.lookahead =
-        opts.lookahead < 0 ? spec.dispatch_latency : opts.lookahead;
-    sim::ShardedEngine engine(eopts);
+    sim::EventQueue eq;
 
     FleetResult res;
     res.spec = spec;
     res.all_deployed = true;
 
     // Boards in spec order; the seed stride keeps per-board RNG
-    // streams independent of fleet size and shard topology.
+    // streams independent of fleet size.
     std::vector<std::unique_ptr<Node>> nodes;
     nodes.reserve(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
         auto node = std::make_unique<Node>(
-            spec.devices[static_cast<std::size_t>(d)],
-            engine.shard(map.shardOf(d)),
+            spec.devices[static_cast<std::size_t>(d)], eq,
             spec.seed * 1000003 + static_cast<std::uint64_t>(d));
         node->board.start();
         node->srv_cfg.name = "srv" + std::to_string(d);
@@ -229,50 +212,26 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
         nodes.push_back(std::move(node));
     }
 
-    Balancer bal{engine,
-                 engine.shard(0),
+    Balancer bal{eq,
                  sim::Rng(spec.seed).fork("fleet-balancer"),
-                 engine.addPort(0), // root: port 0, beats sub ties
                  spec.balancer_rate,
                  spec.dispatch_latency,
                  spec.fanout_latency,
                  spec.hierarchical,
-                 {},
-                 {},
-                 0,
-                 false,
-                 false,
-                 0};
-    if (spec.hierarchical) {
-        // One local_only sub-balancer port per device-hosting shard,
-        // registered in shard order: the port ids differ across
-        // topologies, but every queue sees exactly one sub, so
-        // same-queue message ties always resolve by that sub's
-        // counter — i.e. in root dispatch order.
-        bal.sub_ports.assign(
-            static_cast<std::size_t>(map.shards()), -1);
-        for (int s = 0; s < map.shards(); ++s)
-            if (!map.devicesOn(s).empty())
-                bal.sub_ports[static_cast<std::size_t>(s)] =
-                    engine.addPort(s, /*local_only=*/true);
-    }
-    for (int d = 0; d < n; ++d)
-        if (nodes[static_cast<std::size_t>(d)]->srv->deployed())
-            bal.targets.emplace_back(
-                map.shardOf(d),
-                nodes[static_cast<std::size_t>(d)]->srv.get());
-
+                 {}};
     for (auto &node : nodes)
-        if (node->srv->deployed())
+        if (node->srv->deployed()) {
+            bal.targets.push_back(node->srv.get());
             node->srv->start();
+        }
     if (spec.balancer_rate > 0.0 && !bal.targets.empty())
         bal.scheduleNext();
 
-    engine.runUntil(spec.warmup);
+    eq.runUntil(spec.warmup);
     for (auto &node : nodes)
         node->srv->beginMeasurement();
     bal.measuring = true;
-    engine.runUntil(spec.warmup + spec.duration);
+    eq.runUntil(spec.warmup + spec.duration);
     bal.measuring = false;
     bal.stopped = true;
     for (auto &node : nodes) {
@@ -280,18 +239,11 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
         node->srv->stopArrivals();
     }
 
-    // Per-device leaf accumulators merged by a deterministic
-    // pairwise reduction tree in *device-index* order — never shard
-    // order, which would make the floating-point throughput sum (and
-    // so the digest) depend on the placement topology. The latency
-    // quantile is computed over the merged sample multiset, which is
-    // merge-order-invariant by construction (prof::Cdf sorts).
-    std::vector<Partial> parts(static_cast<std::size_t>(n));
+    std::vector<double> throughputs(static_cast<std::size_t>(n), 0.0);
+    prof::Cdf fleet_latency; // quantiles sort: add order is free
     for (int d = 0; d < n; ++d) {
-        const auto &node = *nodes[static_cast<std::size_t>(d)];
-        const auto &srv = *node.srv;
-        Partial &p = parts[static_cast<std::size_t>(d)];
-        FleetDeviceResult &r = p.dev;
+        const auto &srv = *nodes[static_cast<std::size_t>(d)]->srv;
+        FleetDeviceResult r;
         r.name = "srv" + std::to_string(d);
         r.device = spec.devices[static_cast<std::size_t>(d)].device;
         r.deployed = srv.deployed();
@@ -308,178 +260,20 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
                 r.max_ms =
                     sim::toMsec(static_cast<sim::Tick>(lat.max()));
             }
-            p.samples = lat.samples();
+            for (const double x : lat.samples())
+                fleet_latency.add(x);
             r.max_queue = srv.maxQueueDepth();
-            p.throughput = r.throughput;
+            throughputs[static_cast<std::size_t>(d)] = r.throughput;
         }
         res.devices.push_back(r);
     }
-    for (std::size_t width = parts.size(); width > 1;) {
-        const std::size_t half = (width + 1) / 2;
-        for (std::size_t i = 0; i + half < width; ++i) {
-            Partial &a = parts[i];
-            Partial &b = parts[i + half];
-            a.throughput += b.throughput;
-            a.samples.insert(a.samples.end(), b.samples.begin(),
-                             b.samples.end());
-            b.samples.clear();
-            b.samples.shrink_to_fit();
-        }
-        width = half;
-    }
-    res.total_throughput = parts[0].throughput;
-    if (!parts[0].samples.empty()) {
-        prof::Cdf fleet_latency;
-        for (const double x : parts[0].samples)
-            fleet_latency.add(x);
+    res.total_throughput = foldHalves(std::move(throughputs));
+    if (!fleet_latency.empty())
         res.p99_ms = sim::toMsec(
             static_cast<sim::Tick>(fleet_latency.quantile(0.99)));
-    }
     res.dispatched = bal.dispatched;
-
-    const auto st = engine.stats();
-    res.events = st.executed;
-    res.epochs = st.epochs;
-    res.barriers = st.barriers;
-    res.merge_steps = st.merge_steps;
-    res.messages = st.messages;
+    res.events = eq.executed();
     return res;
-}
-
-// ---------------------------------------------------------------------------
-// Replay specs: flat key=value, one per line. Written by the
-// differential harness on failure, consumed by simcheck
-// --fleet-replay; doubles use %.17g so the round trip is bit-exact.
-
-bool
-writeFleetReplay(const FleetSpec &spec, const FleetOptions &opts,
-                 const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    char buf[64];
-    auto num = [&buf](double v) {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return std::string(buf);
-    };
-    out << "devices=" << spec.devices.size() << "\n";
-    for (std::size_t i = 0; i < spec.devices.size(); ++i) {
-        const auto &d = spec.devices[i];
-        out << "d" << i << ".device=" << d.device << "\n";
-        out << "d" << i << ".model=" << d.model << "\n";
-        out << "d" << i << ".precision=" << soc::name(d.precision)
-            << "\n";
-        out << "d" << i << ".batch=" << d.batch << "\n";
-        out << "d" << i << ".local_rate=" << num(d.local_rate)
-            << "\n";
-    }
-    out << "balancer_rate=" << num(spec.balancer_rate) << "\n";
-    out << "dispatch_latency=" << spec.dispatch_latency << "\n";
-    out << "hierarchical=" << (spec.hierarchical ? 1 : 0) << "\n";
-    out << "fanout_latency=" << spec.fanout_latency << "\n";
-    out << "warmup=" << spec.warmup << "\n";
-    out << "duration=" << spec.duration << "\n";
-    out << "seed=" << spec.seed << "\n";
-    out << "shards=" << opts.shards << "\n";
-    out << "threads=" << opts.threads << "\n";
-    out << "lookahead=" << opts.lookahead << "\n";
-    return static_cast<bool>(out);
-}
-
-bool
-readFleetReplay(const std::string &path, FleetSpec &spec,
-                FleetOptions &opts, std::string &err)
-{
-    std::ifstream in(path);
-    if (!in) {
-        err = "cannot open " + path;
-        return false;
-    }
-    spec = FleetSpec{};
-    spec.devices.clear();
-    opts = FleetOptions{};
-
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            err = path + ":" + std::to_string(lineno) +
-                  ": expected key=value";
-            return false;
-        }
-        const std::string key = line.substr(0, eq);
-        const std::string val = line.substr(eq + 1);
-
-        if (key == "devices") {
-            spec.devices.resize(
-                static_cast<std::size_t>(std::stoul(val)));
-            continue;
-        }
-        if (key.size() > 1 && key[0] == 'd' &&
-            key.find('.') != std::string::npos) {
-            const auto dot = key.find('.');
-            const auto idx = static_cast<std::size_t>(
-                std::stoul(key.substr(1, dot - 1)));
-            if (idx >= spec.devices.size()) {
-                err = path + ":" + std::to_string(lineno) +
-                      ": device index out of range";
-                return false;
-            }
-            auto &d = spec.devices[idx];
-            const std::string field = key.substr(dot + 1);
-            if (field == "device")
-                d.device = val;
-            else if (field == "model")
-                d.model = val;
-            else if (field == "precision")
-                d.precision = soc::precisionFromName(val);
-            else if (field == "batch")
-                d.batch = std::stoi(val);
-            else if (field == "local_rate")
-                d.local_rate = std::stod(val);
-            else {
-                err = path + ":" + std::to_string(lineno) +
-                      ": unknown device field " + field;
-                return false;
-            }
-            continue;
-        }
-        if (key == "balancer_rate")
-            spec.balancer_rate = std::stod(val);
-        else if (key == "dispatch_latency")
-            spec.dispatch_latency = std::stoll(val);
-        else if (key == "hierarchical") // absent in pre-hierarchy
-            spec.hierarchical = std::stoi(val) != 0; // files: default
-        else if (key == "fanout_latency")            // (flat) holds
-            spec.fanout_latency = std::stoll(val);
-        else if (key == "warmup")
-            spec.warmup = std::stoll(val);
-        else if (key == "duration")
-            spec.duration = std::stoll(val);
-        else if (key == "seed")
-            spec.seed = std::stoull(val);
-        else if (key == "shards")
-            opts.shards = std::stoi(val);
-        else if (key == "threads")
-            opts.threads = std::stoi(val);
-        else if (key == "lookahead")
-            opts.lookahead = std::stoll(val);
-        else {
-            err = path + ":" + std::to_string(lineno) +
-                  ": unknown key " + key;
-            return false;
-        }
-    }
-    if (spec.devices.empty()) {
-        err = path + ": no devices";
-        return false;
-    }
-    return true;
 }
 
 } // namespace jetsim::core

@@ -1,25 +1,23 @@
 /**
  * @file
- * Fleet experiments: a serving deployment over many boards on the
- * sharded event core.
+ * Fleet experiments: a serving deployment over many boards on one
+ * event queue.
  *
  * A FleetSpec describes a heterogeneous fleet of simulated Jetson
  * boards, each running one open-loop inference server
  * (workload::ServingProcess), plus a central load balancer that
  * receives fleet-wide Poisson traffic and dispatches requests
- * round-robin over the boards with a fixed network latency. The
- * dispatch hop is the *only* cross-device edge, which makes it the
- * sharded engine's lookahead: with K shards (soc::ShardMap placement)
- * the per-device event streams run in parallel between balancer
- * decisions.
+ * round-robin over the boards with a fixed network latency. Every
+ * board's stack and the balancer share one sim::EventQueue; the
+ * dispatch hops are posted as queue messages
+ * (EventQueue::scheduleMessage), so a dispatch that ties a board's
+ * own event at the same (tick, priority) always runs first.
  *
- * The determinism contract extends core::Runner's: runFleet() is
- * bit-identical — equal resultDigest(FleetResult) — at *any*
- * (shards, threads) configuration, including the serial merge
- * fallback. tests/core/fleet_test.cc and the sharded differential
- * battery (tests/sim/sharded_diff_test.cc) are the proof; CI pass 1c
- * gates the committed digests (GOLDEN_fleet.json via
- * `simcheck --fleet-golden`).
+ * runFleet() is deterministic: equal specs give an equal
+ * resultDigest(FleetResult). The `fleet_golden` ctest
+ * (`simcheck --fleet-golden`) holds it to the digests committed in
+ * GOLDEN_fleet.json. Parallelism across fleets, seeds and replicas
+ * comes from running independent runFleet() calls side by side.
  */
 
 #ifndef JETSIM_CORE_FLEET_HH
@@ -54,19 +52,14 @@ struct FleetSpec
      * dispatched round-robin. 0 disables the balancer. */
     double balancer_rate = 200.0;
     /** Balancer-to-device dispatch latency: the one cross-device
-     * edge, and therefore the sharded engine's lookahead. */
+     * edge. */
     sim::Tick dispatch_latency = sim::usec(200);
     /**
-     * Hierarchical dispatch: the root balancer lives alone on a
-     * reserved shard (soc::ShardMap::balancerReserved) and routes
-     * each request to the destination shard's *sub-balancer*, which
-     * forwards it device-locally after fanout_latency. Requests
-     * arrive at origin + dispatch_latency + fanout_latency at any
-     * shard count — the two-hop path is part of the workload, so the
-     * flag is spec-level and digested (via label()). This removes
-     * the root as the fleets' single serialization point: with the
-     * sub-hop on shard-local ports, only the root shard bounds the
-     * engine's fused epoch horizon.
+     * Hierarchical dispatch: the root balancer routes each request
+     * to a sub-balancer, which forwards it to the device after
+     * fanout_latency. Requests arrive at origin + dispatch_latency +
+     * fanout_latency. The two-hop path is part of the workload, so
+     * the flag is digested (via label()).
      */
     bool hierarchical = false;
     /** Sub-balancer-to-device forwarding latency (hierarchical
@@ -106,41 +99,13 @@ struct FleetResult
     double total_throughput = 0.0;  ///< served img/s, fleet-wide
     double p99_ms = 0.0;            ///< fleet-wide request p99
     std::uint64_t dispatched = 0;   ///< balancer decisions (window)
-    /** Events executed across all shards — identical at any
-     * shard/thread count (the same simulation runs either way), so
-     * it is folded into the digest as a structural check. */
+    /** Events the fleet's queue executed: folded into the digest as
+     * a structural check. */
     std::uint64_t events = 0;
-    /** @name Engine diagnostics — mode-dependent, never digested.
-     * @{ */
-    std::uint64_t epochs = 0;
-    std::uint64_t barriers = 0;
-    std::uint64_t merge_steps = 0;
-    std::uint64_t messages = 0;
-    /** @} */
 };
 
-/** How to run a fleet: shard/thread topology of the event core. */
-struct FleetOptions
-{
-    int shards = 1;
-    int threads = 1;
-    /** Engine lookahead. -1 = auto (the spec's dispatch_latency);
-     * 0 = force the serial-merge fallback. */
-    sim::Tick lookahead = -1;
-};
-
-/** Simulate @p spec under @p opts (bit-identical at any opts). */
-FleetResult runFleet(const FleetSpec &spec,
-                     const FleetOptions &opts = {});
-
-/** @name Replay specs (differential harness <-> simcheck)
- * A failing sharded-vs-serial comparison dumps its spec as a flat
- * key=value file that `simcheck --fleet-replay` re-runs. @{ */
-bool writeFleetReplay(const FleetSpec &spec, const FleetOptions &opts,
-                      const std::string &path);
-bool readFleetReplay(const std::string &path, FleetSpec &spec,
-                     FleetOptions &opts, std::string &err);
-/** @} */
+/** Simulate @p spec. */
+FleetResult runFleet(const FleetSpec &spec);
 
 } // namespace jetsim::core
 

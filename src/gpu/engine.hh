@@ -96,9 +96,8 @@ class GpuEngine
     /** Expose the cost model for tests and the builder. */
     const KernelCostModel &costModel() const { return cost_; }
 
-    /** The queue this engine's events run on — with sharding, the
-     * board's shard. Stream/event waiters attribute their SBO misses
-     * here (see EventQueue::stats()). */
+    /** The queue this engine's events run on. Stream/event waiters
+     * attribute their SBO misses here (see EventQueue::stats()). */
     sim::EventQueue &eq() { return eq_; }
 
     /** @name Statistics

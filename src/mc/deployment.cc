@@ -107,9 +107,6 @@ DeploymentModel::procOf(sim::ChoiceKind kind, std::int64_t actor) const
         return kProcUnknown;
       case sim::ChoiceKind::EventTie:
         return kProcUnknown;
-      case sim::ChoiceKind::ShardMerge:
-        // Deployments run on one queue; merge sites never arise.
-        return kProcUnknown;
     }
     return kProcUnknown;
 }

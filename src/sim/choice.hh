@@ -42,8 +42,6 @@ enum class ChoiceKind : std::uint8_t {
     EventTie = 0,    ///< same-(tick,priority) event-queue tie break
     GpuChannel = 1,  ///< GpuEngine time-slice channel rotation
     CpuRunQueue = 2, ///< OsScheduler run-queue head pick
-    ShardMerge = 3,  ///< ShardedEngine cross-shard same-(tick,
-                     ///< priority) merge pick (serial-merge fallback)
 };
 
 /** Stable short name for traces and reports. */
@@ -57,8 +55,6 @@ name(ChoiceKind k)
         return "gpu-channel";
       case ChoiceKind::CpuRunQueue:
         return "cpu-runq";
-      case ChoiceKind::ShardMerge:
-        return "shard-merge";
     }
     return "?";
 }

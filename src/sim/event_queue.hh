@@ -78,15 +78,14 @@ class EventQueue
     static constexpr int kPriSample = 100;
 
     /**
-     * Sequence-number band split for the sharded engine. Local
-     * events draw their insertion-order seq from a counter starting
-     * at kMessageSeqLimit; seqs below it are reserved for cross-shard
-     * messages (scheduleMessage), whose explicit (source port,
-     * counter) packing is independent of delivery timing. The split
-     * makes same-(tick,priority) ties between a message and a local
-     * event resolve message-first in *every* shard/thread
-     * configuration — the keystone of the sharded engine's
-     * bit-identical merge (DESIGN.md §4i).
+     * Sequence-number band split. Local events draw their
+     * insertion-order seq from a counter starting at
+     * kMessageSeqLimit; seqs below it are reserved for messages
+     * (scheduleMessage), whose caller packs an explicit (source,
+     * counter) seq. A message therefore runs before any local event
+     * tied with it at the same (tick, priority), and tied messages
+     * run in seq order. core::runFleet posts its balancer dispatches
+     * this way; the committed fleet digests encode that order.
      */
     static constexpr std::uint64_t kMessageSeqLimit = 1ull << 47;
 
@@ -213,32 +212,13 @@ class EventQueue
     Handle scheduleIn(Tick delay, Callback cb, int priority = kPriDefault);
 
     /**
-     * Schedule a cross-shard message with an explicit low-band seq
-     * (must be < kMessageSeqLimit). The caller — sim::ShardedEngine —
-     * guarantees seqs are unique and that @p when is strictly beyond
-     * every tick this queue has already dispatched, so the key total
-     * order (and the JetSan monotonic-dispatch invariant) is
-     * preserved no matter when in the epoch protocol the message is
-     * physically inserted.
+     * Schedule a message with an explicit low-band seq (must be
+     * < kMessageSeqLimit). The caller guarantees seqs are unique and
+     * that @p when is strictly beyond now(), so the key total order
+     * (and the JetSan monotonic-dispatch invariant) is preserved.
      */
     Handle scheduleMessage(Tick when, Callback cb, int priority,
                            std::uint64_t msg_seq);
-
-    /** The next pending event's dispatch key (peek). */
-    struct NextEvent
-    {
-        Tick when = 0;
-        int priority = 0;
-        std::uint64_t seq = 0;
-    };
-
-    /**
-     * Peek the next pending event without executing it, pruning
-     * cancelled entries off the heap top. @return false when empty.
-     * Used by the sharded engine for horizon computation and the
-     * deterministic cross-shard merge.
-     */
-    bool peekNext(NextEvent &out);
 
     /** True when no pending (non-cancelled) events remain. */
     bool empty() const { return pool_.liveCount() == 0; }
@@ -272,9 +252,9 @@ class EventQueue
      * queue whose captures exceeded InlineFn::kInlineSize (each one a
      * heap allocation on the hot path): every callback scheduled
      * here, plus component-held callbacks the owning components
-     * attribute via noteSboMiss(). Per-queue counting keeps per-shard
-     * stats attributable under the sharded engine; the process-wide
-     * aggregate (InlineFn::heapFallbackCount, used by
+     * attribute via noteSboMiss(). Per-queue counting keeps each
+     * cell's stats attributable when cells run side by side; the
+     * process-wide aggregate (InlineFn::heapFallbackCount, used by
      * `micro_sim --assert-sbo`) is unchanged.
      */
     Stats stats() const;
@@ -283,7 +263,7 @@ class EventQueue
      * Attribute one InlineFn heap fallback to this queue. Components
      * that hold callbacks *outside* the queue (cpu::Thread work
      * items, gpu::GpuEngine completion callbacks, cuda::Stream
-     * waiters) call this so per-shard SBO accounting stays complete —
+     * waiters) call this so per-queue SBO accounting stays complete —
      * schedule() already counts callbacks it stores itself.
      */
     JETSIM_COLD_OK("SBO miss ledger: attribution counter for externally-held callbacks, asserted zero by micro_sim --assert-sbo")
@@ -399,7 +379,7 @@ class EventQueue
     Chooser *chooser_ = nullptr;
     Tick now_ = 0;
     // Local insertion-order counter; starts above the message band so
-    // cross-shard messages (explicit seqs < kMessageSeqLimit) win
+    // messages (explicit seqs < kMessageSeqLimit) win
     // same-(tick,priority) ties deterministically. The remaining
     // 2^47 local seqs would still take ~140 T events to exhaust.
     std::uint64_t seq_ = kMessageSeqLimit;
@@ -536,25 +516,6 @@ EventQueue::scheduleMessage(Tick when, Callback cb, int priority,
                  static_cast<unsigned long long>(msg_seq));
     return scheduleKeyed(when, std::move(cb), priority,
                          msg_seq & (kMessageSeqLimit - 1));
-}
-
-JETSIM_HOT inline bool
-EventQueue::peekNext(NextEvent &out)
-{
-    while (!heap_keys_.empty()) {
-        const HeapKey key = heap_keys_.front();
-        const Index idx = heap_idx_.front();
-        if (pool_.cancelled(idx)) {
-            heapPopTop();
-            pool_.free(idx);
-            continue;
-        }
-        out.when = keyWhen(key);
-        out.priority = keyPriority(key);
-        out.seq = keySeq(key);
-        return true;
-    }
-    return false;
 }
 
 JETSIM_HOT inline EventQueue::Handle

@@ -11,8 +11,8 @@
  * `micro_sim --assert-sbo` gate) and per event queue
  * (EventQueue::stats().sbo_misses — schedule() counts callbacks it
  * stores, components holding callbacks outside a queue attribute
- * theirs via EventQueue::noteSboMiss), so under the sharded engine
- * every miss is attributable to the shard that paid for it.
+ * theirs via EventQueue::noteSboMiss), so every miss is
+ * attributable to the queue that paid for it.
  *
  * Contract: callbacks whose capture state is <= kInlineSize bytes,
  * suitably aligned and nothrow-move-constructible never allocate.

@@ -42,7 +42,7 @@ struct ServingConfig
     trt::BuilderConfig build;
     /** Offered load in images/s (Poisson arrivals). 0 disables the
      * local generator: requests then come only from injectArrival()
-     * — the fleet balancer's cross-shard dispatch path. */
+     * — the fleet balancer's dispatch path. */
     double arrival_rate = 100.0;
     /** Extra ECs kept in flight beyond the executing one. */
     int pre_enqueue = 1;
@@ -73,7 +73,7 @@ class ServingProcess
     void start();
 
     /**
-     * Externally injected request (the fleet balancer's cross-shard
+     * Externally injected request (the fleet balancer's
      * dispatch). @p origin is the tick the request entered the
      * system — at the balancer, before the dispatch hop — so request
      * latency includes the network leg. Dropped after

@@ -1,9 +1,9 @@
 /**
  * @file
- * Fleet golden layer: for every zoo model x both boards, the sharded
- * engine's digest is bit-identical to the serial engine's across the
- * full shard x thread matrix — the acceptance matrix of the sharded
- * core. Plus unit coverage of the fleet layer itself.
+ * Fleet layer: every zoo model on both boards serves balancer
+ * traffic cleanly, plus unit coverage of dispatch, latency, labels
+ * and determinism. The committed digests are checked against
+ * GOLDEN_fleet.json by the `fleet_golden` ctest.
  */
 
 #include "core/fleet.hh"
@@ -15,7 +15,6 @@
 
 #include "check/reporter.hh"
 #include "core/digest.hh"
-#include "soc/shard_map.hh"
 
 namespace jetsim::core {
 namespace {
@@ -40,159 +39,60 @@ cell(const std::string &device, const std::string &model,
     return spec;
 }
 
-class FleetGolden
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, const char *>>
+class FleetZoo
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
 {
 };
 
-TEST_P(FleetGolden, ShardMatrixBitIdenticalToSerial)
+TEST_P(FleetZoo, ServesBalancerTrafficCleanly)
 {
     check::ScopedCapture cap;
     const auto [device, model] = GetParam();
-    const FleetSpec spec = cell(device, model);
-
-    const FleetResult serial = runFleet(spec, {});
-    const auto want = resultDigest(serial);
-    // The run must have actually moved traffic, or the digests are
-    // vacuously equal. (Completions can be zero on the slow board
-    // with heavy models inside a short window — arrivals cannot.)
-    ASSERT_TRUE(serial.all_deployed);
-    ASSERT_GT(serial.dispatched, 0u);
+    const FleetResult r = runFleet(cell(device, model));
+    // Completions can be zero on the slow board with heavy models
+    // inside a short window — arrivals cannot.
+    ASSERT_TRUE(r.all_deployed);
+    ASSERT_GT(r.dispatched, 0u);
     std::uint64_t arrived = 0;
-    for (const auto &d : serial.devices)
+    for (const auto &d : r.devices)
         arrived += d.arrived;
-    ASSERT_GT(arrived, 0u);
-    ASSERT_GT(serial.events, 100u);
-
-    for (const int shards : {1, 2, 4, 8})
-        for (const int threads : {1, 2, 8}) {
-            FleetOptions o;
-            o.shards = shards;
-            o.threads = threads;
-            const FleetResult got = runFleet(spec, o);
-            EXPECT_EQ(resultDigest(got), want)
-                << spec.label() << " shards=" << shards
-                << " threads=" << threads;
-            EXPECT_EQ(got.events, serial.events);
-        }
+    EXPECT_GT(arrived, 0u);
+    EXPECT_GT(r.events, 100u);
     EXPECT_EQ(cap.total(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ZooBothBoards, FleetGolden,
+    ZooBothBoards, FleetZoo,
     ::testing::Combine(::testing::Values("orin-nano", "nano"),
                        ::testing::Values("resnet50", "fcn_resnet50",
                                          "yolov8n", "resnet18",
                                          "mobilenet_v2")),
     [](const auto &info) {
-        std::string s = std::string(std::get<0>(info.param)) + "_" +
-                        std::get<1>(info.param);
+        std::string s =
+            std::get<0>(info.param) + "_" + std::get<1>(info.param);
         for (auto &c : s)
             if (c == '-')
                 c = '_';
         return s;
     });
 
-FleetSpec
-bigFleet(int boards, bool hierarchical)
-{
-    // Homogeneous wide fleet: cheap per-board model so hundreds of
-    // boards stay test-sized; rate scaled so every board sees
-    // traffic inside the short window.
-    FleetSpec spec = cell("orin-nano", "mobilenet_v2", boards);
-    spec.balancer_rate = 25.0 * boards;
-    spec.warmup = sim::msec(4);
-    spec.duration = sim::msec(30);
-    spec.seed = 23;
-    spec.hierarchical = hierarchical;
-    return spec;
-}
-
-TEST(Fleet, SixteenShardMatrixBitIdenticalToSerial)
-{
-    // The 4-board golden cells clamp at 4 shards; the 16-shard
-    // matrix row needs a wider fleet.
-    check::ScopedCapture cap;
-    const FleetSpec spec = bigFleet(20, false);
-    const FleetResult serial = runFleet(spec, {});
-    ASSERT_GT(serial.dispatched, 0u);
-    const auto want = resultDigest(serial);
-    for (const int threads : {1, 2, 8}) {
-        FleetOptions o;
-        o.shards = 16;
-        o.threads = threads;
-        const FleetResult got = runFleet(spec, o);
-        EXPECT_EQ(resultDigest(got), want) << "threads=" << threads;
-        EXPECT_EQ(got.events, serial.events);
-    }
-    EXPECT_EQ(cap.total(), 0u);
-}
-
-TEST(Fleet, HierarchicalFleetBitIdenticalAcrossTopologies)
-{
-    // The two-hop root->sub->device dispatch must stay
-    // topology-invariant: serial, merge fallback (lookahead 0) and
-    // epoch-batched hierarchical paths all one digest, on a fleet
-    // wide enough (256 boards) that the balancerReserved map
-    // actually reserves shard 0.
-    check::ScopedCapture cap;
-    const FleetSpec spec = bigFleet(256, true);
-    const FleetResult serial = runFleet(spec, {});
-    ASSERT_TRUE(serial.all_deployed);
-    ASSERT_GT(serial.dispatched, 0u);
-    const auto want = resultDigest(serial);
-
-    FleetOptions merge;
-    merge.shards = 8;
-    merge.threads = 1;
-    merge.lookahead = 0;
-    const FleetResult m = runFleet(spec, merge);
-    EXPECT_EQ(resultDigest(m), want) << "merge fallback";
-    EXPECT_EQ(m.events, serial.events);
-
-    for (const int shards : {4, 16})
-        for (const int threads : {1, 8}) {
-            FleetOptions o;
-            o.shards = shards;
-            o.threads = threads;
-            const FleetResult got = runFleet(spec, o);
-            EXPECT_EQ(resultDigest(got), want)
-                << "shards=" << shards << " threads=" << threads;
-            EXPECT_EQ(got.events, serial.events);
-        }
-    EXPECT_EQ(cap.total(), 0u);
-}
-
 TEST(Fleet, ThousandBoardFleetCompletesBitIdentical)
 {
-    // The headline acceptance run: 1000 boards, digests bit-identical
-    // between serial, the lookahead-0 merge, and the epoch-batched
-    // hierarchical path.
+    // 1000 boards behind the two-hop balancer: every board deploys,
+    // traffic flows, no invariant fires, and a repeat run gives the
+    // same digest. A cheap per-board model keeps it test-sized; the
+    // rate is scaled so every board sees traffic.
     check::ScopedCapture cap;
-    FleetSpec spec = bigFleet(1000, true);
+    FleetSpec spec = cell("orin-nano", "mobilenet_v2", 1000);
+    spec.balancer_rate = 25.0 * 1000;
+    spec.hierarchical = true;
+    spec.warmup = sim::msec(4);
     spec.duration = sim::msec(12);
-    const FleetResult serial = runFleet(spec, {});
-    ASSERT_TRUE(serial.all_deployed);
-    ASSERT_GT(serial.dispatched, 0u);
-    const auto want = resultDigest(serial);
-
-    FleetOptions merge;
-    merge.shards = 16;
-    merge.threads = 1;
-    merge.lookahead = 0;
-    EXPECT_EQ(resultDigest(runFleet(spec, merge)), want)
-        << "lookahead=0 merge";
-
-    FleetOptions batched;
-    batched.shards = 16;
-    batched.threads = 2;
-    const FleetResult got = runFleet(spec, batched);
-    EXPECT_EQ(resultDigest(got), want) << "epoch-batched";
-    EXPECT_EQ(got.events, serial.events);
-    // Batching must actually have fused windows: far fewer epochs
-    // than root dispatch decisions would need one-by-one.
-    EXPECT_LT(got.epochs, got.messages);
+    spec.seed = 23;
+    const FleetResult r = runFleet(spec);
+    ASSERT_TRUE(r.all_deployed);
+    ASSERT_GT(r.dispatched, 0u);
+    EXPECT_EQ(resultDigest(runFleet(spec)), resultDigest(r));
     EXPECT_EQ(cap.total(), 0u);
 }
 
@@ -203,26 +103,10 @@ TEST(Fleet, HierarchicalLatencyIncludesFanoutHop)
     FleetSpec hier = flat;
     hier.hierarchical = true;
     hier.fanout_latency = sim::msec(3);
-    const FleetResult a = runFleet(flat, {});
-    const FleetResult b = runFleet(hier, {});
+    const FleetResult a = runFleet(flat);
+    const FleetResult b = runFleet(hier);
     ASSERT_GT(a.total_throughput, 0.0);
     EXPECT_GE(b.devices[0].p50_ms, a.devices[0].p50_ms + 2.5);
-}
-
-TEST(Fleet, BalancerReservedMapShape)
-{
-    const auto m = soc::ShardMap::balancerReserved(6, 4);
-    EXPECT_EQ(m.shards(), 4);
-    EXPECT_TRUE(m.devicesOn(0).empty()); // root-only shard
-    for (int d = 0; d < 6; ++d)
-        EXPECT_EQ(m.shardOf(d), 1 + d % 3);
-    // Clamped: never an empty device shard.
-    const auto tight = soc::ShardMap::balancerReserved(2, 16);
-    EXPECT_EQ(tight.shards(), 3);
-    // Degenerate serial topology: no shard to reserve.
-    const auto serial = soc::ShardMap::balancerReserved(5, 1);
-    EXPECT_EQ(serial.shards(), 1);
-    EXPECT_EQ(serial.devicesOn(0).size(), 5u);
 }
 
 TEST(Fleet, LabelRunLengthCompressesWideFleets)
@@ -244,17 +128,14 @@ TEST(Fleet, LabelRunLengthCompressesWideFleets)
 TEST(Fleet, RepeatRunsAreBitIdentical)
 {
     const FleetSpec spec = cell("orin-nano", "resnet50", 3);
-    FleetOptions o;
-    o.shards = 3;
-    o.threads = 2;
-    EXPECT_EQ(resultDigest(runFleet(spec, o)),
-              resultDigest(runFleet(spec, o)));
+    EXPECT_EQ(resultDigest(runFleet(spec)),
+              resultDigest(runFleet(spec)));
 }
 
 TEST(Fleet, BalancerSpreadsLoadRoundRobin)
 {
     const FleetSpec spec = cell("orin-nano", "resnet18", 4);
-    const FleetResult r = runFleet(spec, {});
+    const FleetResult r = runFleet(spec);
     ASSERT_EQ(r.devices.size(), 4u);
     // Round-robin dispatch: arrivals differ by at most a rotation.
     std::uint64_t lo = UINT64_MAX, hi = 0;
@@ -273,8 +154,8 @@ TEST(Fleet, LatencyIncludesDispatchHop)
     fast.balancer_rate = 100.0;
     FleetSpec slow = fast;
     slow.dispatch_latency = fast.dispatch_latency + sim::msec(5);
-    const FleetResult a = runFleet(fast, {});
-    const FleetResult b = runFleet(slow, {});
+    const FleetResult a = runFleet(fast);
+    const FleetResult b = runFleet(slow);
     ASSERT_GT(a.total_throughput, 0.0);
     EXPECT_GE(b.devices[0].p50_ms, a.devices[0].p50_ms + 4.0);
 }
@@ -285,8 +166,8 @@ TEST(Fleet, LocalTrafficRidesAlongBalancerTraffic)
     spec.balancer_rate = 80.0;
     FleetSpec with_local = spec;
     with_local.devices[0].local_rate = 60.0;
-    const FleetResult base = runFleet(spec, {});
-    const FleetResult extra = runFleet(with_local, {});
+    const FleetResult base = runFleet(spec);
+    const FleetResult extra = runFleet(with_local);
     EXPECT_GT(extra.devices[0].arrived, base.devices[0].arrived);
 }
 
@@ -306,14 +187,11 @@ TEST(Fleet, HeterogeneousFleetDigestsStable)
     spec.balancer_rate = 150.0;
     spec.warmup = sim::msec(10);
     spec.duration = sim::msec(40);
-    const auto want = resultDigest(runFleet(spec, {}));
-    for (const int shards : {2, 3}) {
-        FleetOptions o;
-        o.shards = shards;
-        o.threads = 2;
-        EXPECT_EQ(resultDigest(runFleet(spec, o)), want)
-            << "shards=" << shards;
-    }
+    const FleetResult r = runFleet(spec);
+    ASSERT_TRUE(r.all_deployed);
+    for (const auto &d : r.devices)
+        EXPECT_GT(d.arrived, 0u) << d.name;
+    EXPECT_EQ(resultDigest(runFleet(spec)), resultDigest(r));
 }
 
 } // namespace

@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "soc/device_spec.hh"
+#include "soc/precision.hh"
 
 namespace jetsim::core {
 namespace {
 
-using Cell = std::tuple<const char *, const char *, soc::Precision,
-                        int, int>; // device, model, prec, batch, procs
+// Held as strings so each test name prints the cell's values, not the
+// run-time addresses of string literals: names stay the same per build.
+using Cell = std::tuple<std::string, std::string, std::string, int,
+                        int>; // device, model, precision, batch, procs
 
 ExperimentResult
 run(const Cell &c, Phase phase = Phase::Light)
@@ -24,7 +28,7 @@ run(const Cell &c, Phase phase = Phase::Light)
     ExperimentSpec s;
     s.device = std::get<0>(c);
     s.model = std::get<1>(c);
-    s.precision = std::get<2>(c);
+    s.precision = soc::precisionFromName(std::get<2>(c));
     s.batch = std::get<3>(c);
     s.processes = std::get<4>(c);
     s.phase = phase;
@@ -97,16 +101,16 @@ TEST_P(GridInvariants, DeepPhaseCountersInRange)
 INSTANTIATE_TEST_SUITE_P(
     Cells, GridInvariants,
     ::testing::Values(
-        Cell{"orin-nano", "resnet50", soc::Precision::Int8, 1, 1},
-        Cell{"orin-nano", "resnet50", soc::Precision::Fp32, 4, 2},
-        Cell{"orin-nano", "fcn_resnet50", soc::Precision::Tf32, 1, 1},
-        Cell{"orin-nano", "fcn_resnet50", soc::Precision::Int8, 2, 4},
-        Cell{"orin-nano", "yolov8n", soc::Precision::Int8, 8, 1},
-        Cell{"orin-nano", "yolov8n", soc::Precision::Fp16, 1, 8},
-        Cell{"nano", "resnet50", soc::Precision::Fp16, 2, 2},
-        Cell{"nano", "resnet50", soc::Precision::Int8, 1, 1},
-        Cell{"nano", "yolov8n", soc::Precision::Fp16, 4, 1},
-        Cell{"nano", "fcn_resnet50", soc::Precision::Fp16, 1, 4}));
+        Cell{"orin-nano", "resnet50", "int8", 1, 1},
+        Cell{"orin-nano", "resnet50", "fp32", 4, 2},
+        Cell{"orin-nano", "fcn_resnet50", "tf32", 1, 1},
+        Cell{"orin-nano", "fcn_resnet50", "int8", 2, 4},
+        Cell{"orin-nano", "yolov8n", "int8", 8, 1},
+        Cell{"orin-nano", "yolov8n", "fp16", 1, 8},
+        Cell{"nano", "resnet50", "fp16", 2, 2},
+        Cell{"nano", "resnet50", "int8", 1, 1},
+        Cell{"nano", "yolov8n", "fp16", 4, 1},
+        Cell{"nano", "fcn_resnet50", "fp16", 1, 4}));
 
 /** Monotonicity sweeps. */
 TEST(Monotonicity, MemoryGrowsWithProcesses)
@@ -114,7 +118,7 @@ TEST(Monotonicity, MemoryGrowsWithProcesses)
     double prev = 0.0;
     for (int procs : {1, 2, 4}) {
         const auto r = run(Cell{"orin-nano", "yolov8n",
-                                soc::Precision::Int8, 1, procs});
+                                "int8", 1, procs});
         EXPECT_GT(r.workload_mem_mb, prev);
         prev = r.workload_mem_mb;
     }
@@ -125,7 +129,7 @@ TEST(Monotonicity, MemoryGrowsWithBatch)
     double prev = 0.0;
     for (int batch : {1, 4, 16}) {
         const auto r = run(Cell{"orin-nano", "yolov8n",
-                                soc::Precision::Int8, batch, 1});
+                                "int8", batch, 1});
         EXPECT_GT(r.workload_mem_mb, prev);
         prev = r.workload_mem_mb;
     }
@@ -136,7 +140,7 @@ TEST(Monotonicity, ThroughputPerProcessFallsWithProcesses)
     double prev = 1e18;
     for (int procs : {1, 2, 4, 8}) {
         const auto r = run(Cell{"orin-nano", "resnet50",
-                                soc::Precision::Int8, 1, procs});
+                                "int8", 1, procs});
         EXPECT_LT(r.throughput_per_process, prev);
         prev = r.throughput_per_process;
     }
@@ -149,7 +153,7 @@ TEST(Monotonicity, ThroughputPerProcessRisesWithBatch)
     double first = 0.0, prev = 0.0;
     for (int batch : {1, 4, 16}) {
         const auto r = run(Cell{"orin-nano", "yolov8n",
-                                soc::Precision::Int8, batch, 1});
+                                "int8", batch, 1});
         if (batch == 1)
             first = r.throughput_per_process;
         EXPECT_GE(r.throughput_per_process, prev * 0.97);
@@ -163,7 +167,7 @@ TEST(Monotonicity, EcDurationGrowsWithProcesses)
     double prev = 0.0;
     for (int procs : {1, 2, 4, 8}) {
         const auto r = run(Cell{"orin-nano", "resnet50",
-                                soc::Precision::Int8, 1, procs});
+                                "int8", 1, procs});
         EXPECT_GT(r.mean.ec_ms, prev);
         prev = r.mean.ec_ms;
     }

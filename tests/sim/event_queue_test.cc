@@ -167,5 +167,24 @@ TEST(EventQueue, ZeroDelayEventRunsAtCurrentTick)
     EXPECT_EQ(seen, 42);
 }
 
+TEST(EventQueue, MessagesBeatTiedLocalEventsInSeqOrder)
+{
+    // Messages take explicit seqs below kMessageSeqLimit, so at one
+    // (tick, priority) they run before local events — whatever the
+    // insertion order — and among themselves in seq order.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&] { order.push_back(3); });
+    eq.scheduleMessage(10, [&] { order.push_back(2); },
+                       EventQueue::kPriDefault, (1ull << 32) | 0);
+    eq.scheduleMessage(10, [&] { order.push_back(1); },
+                       EventQueue::kPriDefault, 5);
+    eq.scheduleMessage(10, [&] { order.push_back(0); },
+                       EventQueue::kPriDefault, 0);
+    eq.schedule(10, [&] { order.push_back(4); });
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 } // namespace
 } // namespace jetsim::sim

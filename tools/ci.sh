@@ -16,12 +16,8 @@
 # perf-path assert/regression that only triggers at benchmark volume
 # fails CI — plus the golden-digest runner tests, which prove the
 # pooled event core still dispatches in the bit-identical order the
-# committed digests were recorded from, the sharded fleet goldens
-# (GOLDEN_fleet.json at shards 1, 4 and 16, including a 256-board
-# hierarchical config), the sharded scaling smoke (>= 1.5x at 4
-# shards; auto-skipped below 4 cores) and the sharded overhead gate
-# (1000-board hierarchical fleet at shards=8/threads=1 must keep
-# >= 0.75x the serial event rate; never skipped).
+# committed digests were recorded from, and the fleet goldens
+# (GOLDEN_fleet.json, including a 256-board hierarchical config).
 #
 # Pass 1d is the bounded model check (jetmc): the seeded-deadlock
 # self-test must find its counterexample and replay it, then small
@@ -54,14 +50,11 @@
 #                    [--skip-tidy]
 #
 # --tsan swaps the sanitized pass to ThreadSanitizer and is the
-# gate for the parallel sweep runner (core::Runner) and the sharded
-# event core (sim::ShardedEngine): the pass rings the
-# runner_stress_tests binary (oversubscribed work-stealing pool
-# plus the global-state regression tests), the sharded_stress_tests
-# binary (sense-reversing barriers + the lock-free MPSC inbox rings
-# under oversubscription) and the simcheck replay through the
-# parallel path, so data races in the concurrent executors fail CI
-# rather than lurk.
+# gate for the parallel sweep runner (core::Runner): the pass rings
+# the runner_stress_tests binary (oversubscribed work-stealing pool
+# plus the global-state regression tests) and the simcheck replay
+# through the parallel path, so data races in the concurrent
+# executor fail CI rather than lurk.
 
 set -euo pipefail
 
@@ -118,27 +111,12 @@ if [ "$run_plain" = 1 ]; then
     "$repo/build-ci/plain/tests/runner_tests" \
         --gtest_filter='BothBoards/RunnerGolden.*' \
         --gtest_brief=1
-    # Sharded golden digests: the fleet suite (including the
-    # 256-board hierarchical config) re-run at shards 1, 4 and 16
-    # must hash to the committed serial digests — the sharded
-    # engine's bit-identity gate (regenerate with --update only when
-    # the cost model legitimately moves).
+    # Fleet golden digests: the fleet suite (including the 256-board
+    # hierarchical config) must hash to the committed digests
+    # (regenerate with --update only when the cost model
+    # legitimately moves).
     "$repo/build-ci/plain/tools/simcheck" \
         --fleet-golden="$repo/GOLDEN_fleet.json"
-    # Scaling smoke: the parallel epoch path must actually pay for
-    # itself — >= 1.5x serial event rate at shards=4/threads=4. The
-    # digest is always compared; simcheck skips the speedup gate by
-    # itself on hosts with < 4 cores (printing the reason and the
-    # detected core count), where the comparison would measure
-    # contention, not scaling.
-    "$repo/build-ci/plain/tools/simcheck" --fleet-scaling=1.5
-    # Overhead gate: the epoch protocol with parallelism removed —
-    # a 1000-board hierarchical fleet at shards=8 on ONE thread must
-    # keep >= 0.75x of the serial event rate (tournament reduction,
-    # adaptive epoch batching and the lock-free inbox are what make
-    # this hold; the mutex-inbox engine sat at 0.40x). Runs on any
-    # host — this gate never self-skips.
-    "$repo/build-ci/plain/tools/simcheck" --fleet-overhead=0.75
     banner "pass 1d: bounded model check (jetmc)"
     jetmc="$repo/build-ci/plain/tools/jetmc"
     ce_dir="$repo/build-ci/plain/jetmc-ce"
@@ -253,16 +231,12 @@ if [ "$run_san" = 1 ]; then
     banner "pass 2b: determinism replay (simcheck, parallel path)"
     "$repo/build-ci/$san_flavor/tools/simcheck" \
         --duration 0.3 --warmup 0.1 --seeds 1,2,3 --threads 4
-    banner "pass 2c: runner + sharded concurrency stress ($san_flavor)"
-    # ctest already ran these binaries once; run them again explicitly
+    banner "pass 2c: runner concurrency stress ($san_flavor)"
+    # ctest already ran this binary once; run it again explicitly
     # with the pool oversubscribed well past the host core count so
     # the sanitizer sees maximum interleaving.
     JETSIM_THREADS=16 \
         "$repo/build-ci/$san_flavor/tests/runner_stress_tests"
-    # The sharded sense-reversing barriers and lock-free inbox rings
-    # under the same treatment: with --tsan this is the pass that
-    # turns any data race in ShardedEngine into a CI failure.
-    "$repo/build-ci/$san_flavor/tests/sharded_stress_tests"
 fi
 
 if [ "$run_tidy" = 1 ]; then

@@ -342,7 +342,7 @@ def scan_file(path, rel, an):
             # Class-qualified keys: an out-of-line `C::f` definition
             # and an in-class definition of the same method share the
             # key `C::f`; unrelated functions that merely share a base
-            # name (mc-harness `post` vs. ShardedEngine::post) stay
+            # name (`Board::start` vs. `ServingProcess::start`) stay
             # distinct records.
             parts = [p for p in sc.name.split("::") if p]
             if len(parts) >= 2:

@@ -24,40 +24,19 @@
  * the recorded failure must reproduce exactly. This keeps the
  * model-checker honest — a CE that does not replay is a jetmc bug.
  *
- * With --fleet-replay=<file> it re-runs a fleet spec dumped by the
- * sharded differential battery (tests/sim/sharded_diff_test.cc):
- * serial and sharded digests must be bit-identical, making a fuzzer
- * failure reproducible from a single flat key=value file.
- *
  * With --fleet-golden=<path> it runs the committed fleet golden
- * suite (including a 256-board hierarchical config): sharded digests
- * at shards 1, 4 and 16 must equal the serial digests recorded in the
- * file (CI pass 1c); --update regenerates it.
- *
- * With --fleet-scaling=<ratio> it times a large fleet serially and at
- * shards=4/threads=4 and requires the parallel epoch path to clear
- * <ratio>x the serial event rate (and, as always, the identical
- * digest). On hosts with fewer than 4 cores the comparison is
- * meaningless — the gate prints the skip reason with the detected
- * core count (also in --json) and passes.
- *
- * With --fleet-overhead=<ratio> it times a hierarchical fleet at
- * shards=8 on ONE thread against shards=1: pure epoch-protocol
- * overhead, no parallelism to hide behind. The sharded run must keep
- * >= <ratio>x of the serial event rate (CI pass 1c gates at 0.75).
- * Unlike --fleet-scaling this holds on any host, 1 core included.
+ * suite (including a 256-board hierarchical config): each digest
+ * must equal the one recorded in the file (the `fleet_golden` ctest
+ * and CI pass 1c); --update regenerates it.
  */
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "argparse.hh"
@@ -207,51 +186,6 @@ mcReplay(const std::string &path)
     return 0;
 }
 
-/**
- * Re-run a replay spec dumped by the differential battery: the serial
- * digest, the file's sharded configuration, and a repeat of the
- * sharded run must all agree bit for bit.
- */
-int
-fleetReplay(const std::string &path)
-{
-    core::FleetSpec spec;
-    core::FleetOptions opts;
-    std::string err;
-    if (!core::readFleetReplay(path, spec, opts, err)) {
-        std::fprintf(stderr, "simcheck: %s\n", err.c_str());
-        return 2;
-    }
-    std::printf("fleet-replay: %s\n", spec.label().c_str());
-    std::printf("fleet-replay: shards=%d threads=%d lookahead=%lld\n",
-                opts.shards, opts.threads,
-                static_cast<long long>(opts.lookahead));
-
-    const auto serial =
-        core::resultDigest(core::runFleet(spec, {}));
-    const auto sharded =
-        core::resultDigest(core::runFleet(spec, opts));
-    const auto again =
-        core::resultDigest(core::runFleet(spec, opts));
-
-    std::printf("fleet-replay: serial %016llx, sharded %016llx, "
-                "repeat %016llx\n",
-                static_cast<unsigned long long>(serial),
-                static_cast<unsigned long long>(sharded),
-                static_cast<unsigned long long>(again));
-    if (serial != sharded || sharded != again) {
-        std::fprintf(stderr,
-                     "simcheck: fleet replay DIVERGED "
-                     "(serial-vs-sharded: %s, repeat: %s)\n",
-                     serial == sharded ? "ok" : "MISMATCH",
-                     sharded == again ? "ok" : "MISMATCH");
-        return 1;
-    }
-    std::printf("simcheck: fleet replay bit-identical across serial, "
-                "sharded and repeated runs\n");
-    return 0;
-}
-
 /** The committed golden suite: small, fast, covers both boards, a
  * heterogeneous mix and local+balancer traffic. Append-only — edits
  * here invalidate GOLDEN_fleet.json (regenerate with --update). */
@@ -299,9 +233,7 @@ goldenSuite()
     }
     {
         // Hierarchical wide fleet: 256 boards through the two-hop
-        // root -> sub-balancer dispatch, wide enough that the
-        // balancer-reserved shard map actually reserves shard 0 at
-        // every matrix point.
+        // root -> sub-balancer dispatch.
         core::FleetSpec s;
         for (int d = 0; d < 256; ++d)
             s.devices.push_back({"orin-nano", "mobilenet_v2",
@@ -366,7 +298,7 @@ fleetGolden(const std::string &path, bool update)
         out << "{\n  \"fleet_goldens\": [\n";
         for (std::size_t i = 0; i < suite.size(); ++i) {
             const auto digest =
-                core::resultDigest(core::runFleet(suite[i], {}));
+                core::resultDigest(core::runFleet(suite[i]));
             std::snprintf(hex, sizeof(hex), "%016llx",
                           static_cast<unsigned long long>(digest));
             out << "    {\"label\": \"" << suite[i].label()
@@ -399,29 +331,19 @@ fleetGolden(const std::string &path, bool update)
             ++failures;
             continue;
         }
-        bool cell_ok = true;
-        for (const int shards : {1, 4, 16}) {
-            core::FleetOptions o;
-            o.shards = shards;
-            o.threads = shards > 1 ? 2 : 1;
-            const auto digest =
-                core::resultDigest(core::runFleet(spec, o));
-            std::snprintf(hex, sizeof(hex), "%016llx",
-                          static_cast<unsigned long long>(digest));
-            if (it->second != hex) {
-                cell_ok = false;
-                std::fprintf(stderr,
-                             "simcheck: '%s' shards=%d digest %s != "
-                             "committed %s\n",
-                             spec.label().c_str(), shards, hex,
-                             it->second.c_str());
-            }
-        }
-        std::printf("golden: %s [shards 1,4,16] %s\n",
-                    spec.label().c_str(),
-                    cell_ok ? "ok" : "DIVERGED");
-        if (!cell_ok)
+        const auto digest = core::resultDigest(core::runFleet(spec));
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(digest));
+        const bool cell_ok = it->second == hex;
+        if (!cell_ok) {
+            std::fprintf(stderr,
+                         "simcheck: '%s' digest %s != committed %s\n",
+                         spec.label().c_str(), hex,
+                         it->second.c_str());
             ++failures;
+        }
+        std::printf("golden: %s %s\n", spec.label().c_str(),
+                    cell_ok ? "ok" : "DIVERGED");
     }
     if (failures) {
         std::fprintf(stderr,
@@ -429,188 +351,8 @@ fleetGolden(const std::string &path, bool update)
                      failures);
         return 1;
     }
-    std::printf("simcheck: all %zu fleet goldens bit-identical at "
-                "shards 1, 4 and 16\n",
+    std::printf("simcheck: all %zu fleet goldens match\n",
                 suite.size());
-    return 0;
-}
-
-/**
- * Scaling smoke for CI pass 1c: a fleet wide enough to keep four
- * shards busy, timed serial vs shards=4/threads=4. Gates on both the
- * digest (always) and the speedup (only on >= 4-core hosts).
- */
-int
-fleetScaling(double min_ratio, bool json)
-{
-    const unsigned cores = std::thread::hardware_concurrency();
-
-    // Big enough that the serial run takes a schedulable slice of
-    // wall-clock (~10^5 events): timing two sub-10ms runs would gate
-    // on noise, not on the epoch path.
-    core::FleetSpec spec;
-    for (int d = 0; d < 8; ++d)
-        spec.devices.push_back({d % 2 ? "nano" : "orin-nano",
-                                d % 4 < 2 ? "resnet18" : "mobilenet_v2",
-                                soc::Precision::Int8, 1, 120.0});
-    spec.balancer_rate = 800.0;
-    spec.warmup = sim::msec(20);
-    spec.duration = sim::msec(2000);
-    spec.seed = 21;
-
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
-    const auto serial = core::runFleet(spec, {});
-    const auto t1 = clock::now();
-    core::FleetOptions o;
-    o.shards = 4;
-    o.threads = 4;
-    const auto sharded = core::runFleet(spec, o);
-    const auto t2 = clock::now();
-
-    const bool digest_match =
-        core::resultDigest(serial) == core::resultDigest(sharded);
-    const auto secs = [](clock::duration d) {
-        return std::chrono::duration<double>(d).count();
-    };
-    const double serial_s = secs(t1 - t0);
-    const double sharded_s = secs(t2 - t1);
-    const double speedup = sharded_s > 0.0 ? serial_s / sharded_s : 0.0;
-    const bool skipped = cores < 4;
-    char skip_reason[96] = "";
-    if (skipped)
-        std::snprintf(skip_reason, sizeof(skip_reason),
-                      "host has %u core(s) < 4: the comparison would "
-                      "measure contention, not scaling",
-                      cores);
-    const bool gate_ok = skipped || speedup >= min_ratio;
-    if (json) {
-        std::printf("{\"check\": \"fleet-scaling\", "
-                    "\"events\": %llu, \"cores\": %u, "
-                    "\"serial_s\": %.6f, \"sharded_s\": %.6f, "
-                    "\"speedup\": %.3f, \"gate\": %.2f, "
-                    "\"digest_match\": %s, \"skipped\": %s, "
-                    "\"skip_reason\": \"%s\", \"pass\": %s}\n",
-                    static_cast<unsigned long long>(serial.events),
-                    cores, serial_s, sharded_s, speedup, min_ratio,
-                    digest_match ? "true" : "false",
-                    skipped ? "true" : "false", skip_reason,
-                    digest_match && gate_ok ? "true" : "false");
-        return digest_match && gate_ok ? 0 : 1;
-    }
-    if (!digest_match) {
-        std::fprintf(stderr, "simcheck: scaling fleet DIVERGED "
-                             "(serial vs shards=4)\n");
-        return 1;
-    }
-    std::printf("fleet-scaling: %llu events; serial %.3fs, "
-                "shards=4/threads=4 %.3fs, speedup %.2fx\n",
-                static_cast<unsigned long long>(serial.events),
-                serial_s, sharded_s, speedup);
-    if (skipped) {
-        std::printf("simcheck: speedup gate skipped: %s (digest "
-                    "still checked)\n",
-                    skip_reason);
-        return 0;
-    }
-    if (speedup < min_ratio) {
-        std::fprintf(stderr,
-                     "simcheck: sharded speedup %.2fx below the "
-                     "%.2fx gate on a %u-core host\n",
-                     speedup, min_ratio, cores);
-        return 1;
-    }
-    std::printf("simcheck: sharded scaling gate passed "
-                "(%.2fx >= %.2fx on %u cores)\n",
-                speedup, min_ratio, cores);
-    return 0;
-}
-
-/**
- * Overhead gate for CI pass 1c: the epoch protocol itself — barrier,
- * reduction, message path — measured with parallelism taken away.
- * A 1000-board hierarchical fleet runs at shards=8 on ONE thread and
- * at shards=1; the ratio of event rates is pure per-epoch/per-message
- * constant cost. Host-independent (no idle cores required), so unlike
- * --fleet-scaling this gate never self-skips. Digests are compared at
- * both points; the ratio is the max over @c kReps reps of the
- * per-rep min times (noise-robust on shared hosts).
- */
-int
-fleetOverhead(double min_ratio, bool json)
-{
-    core::FleetSpec spec;
-    for (int d = 0; d < 1000; ++d)
-        spec.devices.push_back({"orin-nano", "mobilenet_v2",
-                                soc::Precision::Int8, 1, 0.0});
-    spec.balancer_rate = 25.0 * 1000;
-    spec.hierarchical = true;
-    spec.warmup = sim::msec(4);
-    spec.duration = sim::msec(30);
-    spec.seed = 23;
-
-    using clock = std::chrono::steady_clock;
-    const auto timeOnce = [&spec](int shards, std::uint64_t &digest,
-                                  std::uint64_t &events) {
-        core::FleetOptions o;
-        o.shards = shards;
-        o.threads = 1;
-        const auto t0 = clock::now();
-        const auto r = core::runFleet(spec, o);
-        const auto t1 = clock::now();
-        digest = core::resultDigest(r);
-        events = r.events;
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-
-    constexpr int kReps = 3;
-    double serial_s = 1e300, sharded_s = 1e300, ratio = 0.0;
-    std::uint64_t want = 0, got = 0, events = 0;
-    bool digest_match = true;
-    for (int r = 0; r < kReps; ++r) {
-        std::uint64_t ev = 0;
-        const double a = timeOnce(1, want, events);
-        const double b = timeOnce(8, got, ev);
-        digest_match = digest_match && want == got && ev == events;
-        serial_s = std::min(serial_s, a);
-        sharded_s = std::min(sharded_s, b);
-        if (b > 0.0)
-            ratio = std::max(ratio, a / b);
-    }
-    const bool gate_ok = digest_match && ratio >= min_ratio;
-    if (json) {
-        std::printf("{\"check\": \"fleet-overhead\", "
-                    "\"events\": %llu, "
-                    "\"serial_s\": %.6f, \"sharded1t_s\": %.6f, "
-                    "\"ratio\": %.3f, \"gate\": %.2f, "
-                    "\"digest_match\": %s, \"pass\": %s}\n",
-                    static_cast<unsigned long long>(events), serial_s,
-                    sharded_s, ratio,
-                    min_ratio, digest_match ? "true" : "false",
-                    gate_ok ? "true" : "false");
-        return gate_ok ? 0 : 1;
-    }
-    if (!digest_match) {
-        std::fprintf(stderr, "simcheck: overhead fleet DIVERGED "
-                             "(serial vs shards=8/threads=1)\n");
-        return 1;
-    }
-    std::printf("fleet-overhead: %llu events over 1000 boards; "
-                "serial %.3fs, shards=8/threads=1 %.3fs, "
-                "ratio %.2fx\n",
-                static_cast<unsigned long long>(events), serial_s,
-                sharded_s, ratio);
-    if (ratio < min_ratio) {
-        std::fprintf(stderr,
-                     "simcheck: single-thread sharded overhead "
-                     "%.2fx below the %.2fx floor (epoch protocol "
-                     "constant costs regressed)\n",
-                     ratio, min_ratio);
-        return 1;
-    }
-    std::printf("simcheck: sharded overhead gate passed "
-                "(%.2fx >= %.2fx)\n",
-                ratio, min_ratio);
     return 0;
 }
 
@@ -638,41 +380,18 @@ main(int argc, char **argv)
     args.add("mc-replay", "",
              "replay a jetmc counterexample file and verify the "
              "recorded failure reproduces");
-    args.add("fleet-replay", "",
-             "re-run a fleet replay spec (sharded differential "
-             "battery dump) and verify serial == sharded");
     args.add("fleet-golden", "",
-             "verify the committed fleet golden digests at shards "
-             "1, 4 and 16 (CI pass 1c)");
+             "verify the committed fleet golden digests");
     args.add("update", "0",
-             "with --fleet-golden: regenerate the golden file from "
-             "serial runs");
-    args.add("fleet-scaling", "0",
-             "scaling smoke: require >= this speedup at shards=4 on "
-             ">= 4-core hosts (0 = off; digest always checked)");
-    args.add("fleet-overhead", "0",
-             "overhead gate: require shards=8/threads=1 to keep >= "
-             "this fraction of the serial event rate on a 1000-board "
-             "hierarchical fleet (0 = off; never self-skips)");
-    args.add("json", "0",
-             "with --fleet-scaling / --fleet-overhead: emit the "
-             "verdict as one JSON object on stdout");
+             "with --fleet-golden: regenerate the golden file");
     if (!args.parse(argc, argv))
         return 2;
 
     if (!args.str("mc-replay").empty())
         return mcReplay(args.str("mc-replay"));
-    if (!args.str("fleet-replay").empty())
-        return fleetReplay(args.str("fleet-replay"));
     if (!args.str("fleet-golden").empty())
         return fleetGolden(args.str("fleet-golden"),
                            args.boolean("update"));
-    if (args.dbl("fleet-scaling") > 0.0)
-        return fleetScaling(args.dbl("fleet-scaling"),
-                            args.boolean("json"));
-    if (args.dbl("fleet-overhead") > 0.0)
-        return fleetOverhead(args.dbl("fleet-overhead"),
-                             args.boolean("json"));
 
     // Report-and-continue: this tool's job is to observe divergence,
     // not to abort on the first violation.
