@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "prof/cdf.hh"
@@ -27,6 +28,11 @@ enum class Phase {
     Light, ///< phase 1: trtexec + jetson-stats, no intrusion
     Deep,  ///< phase 2: + Nsight tracing, ~50 % throughput intrusion
 };
+
+/** "light" or "deep", as in labels and cache entries. */
+const char *phaseName(Phase p);
+
+struct MixedExperimentSpec;
 
 /** Full description of one profiling run. */
 struct ExperimentSpec
@@ -54,6 +60,11 @@ struct ExperimentSpec
 
     /** Compact one-line identity for logs and reports. */
     std::string label() const;
+
+    /** The same run as a one-workload mixed experiment. */
+    MixedExperimentSpec toMixed() const;
+
+    bool operator==(const ExperimentSpec &) const = default;
 };
 
 /** Per-process measurements (Section 7 decomposition inputs). */
@@ -88,6 +99,8 @@ struct WorkloadSpec
     soc::Precision precision = soc::Precision::Fp16;
     int batch = 1;
     int processes = 1;
+
+    bool operator==(const WorkloadSpec &) const = default;
 };
 
 /** A heterogeneous concurrent experiment. */
@@ -107,20 +120,22 @@ struct MixedExperimentSpec
 
     int totalProcesses() const;
     std::string label() const;
+
+    bool operator==(const MixedExperimentSpec &) const = default;
 };
 
-/** Everything one run produces. */
-struct ExperimentResult
+/**
+ * Measurements both result kinds carry. The per-kind field tables
+ * below list them in each kind's own digest order.
+ */
+struct RunMetrics
 {
-    ExperimentSpec spec;
-
     /** Deployment outcome. */
     bool all_deployed = false;
     int deployed_count = 0;
 
     /** SoC level. */
-    double total_throughput = 0;     ///< img/s across processes
-    double throughput_per_process = 0;
+    double total_throughput = 0; ///< img/s across processes
     double avg_power_w = 0;
     double max_power_w = 0;
 
@@ -140,44 +155,177 @@ struct ExperimentResult
     double kernel_us_mean = 0;
     std::uint64_t kernels = 0;
 
+    /** Per-process metrics (mixed runs name them
+     * "<model>/<precision>.N"). */
     std::vector<ProcessMetrics> procs;
+};
 
-    /** Mean across deployed processes of the ProcessMetrics fields. */
+/** Everything one run produces. */
+struct ExperimentResult : RunMetrics
+{
+    ExperimentSpec spec;
+
+    double throughput_per_process = 0;
+
+    /**
+     * Per-process summary over the deployed processes: the real-valued
+     * fields are means, while the counters (migrations, preemptions,
+     * ecs) are totals. Named "mean"; all zero if nothing deployed.
+     */
     ProcessMetrics mean;
 };
 
 /** Result of a heterogeneous run. */
-struct MixedExperimentResult
+struct MixedExperimentResult : RunMetrics
 {
     MixedExperimentSpec spec;
-    bool all_deployed = false;
-    int deployed_count = 0;
-
-    double total_throughput = 0;
-    double avg_power_w = 0;
-    double max_power_w = 0;
-    double gpu_util_pct = 0;
-    double mem_pct = 0;
-    double workload_mem_mb = 0;
 
     /** Aggregate throughput per workload group (spec order). */
     std::vector<double> throughput_by_workload;
-
-    /** Per-process metrics, named "<model>/<precision>.N". */
-    std::vector<ProcessMetrics> procs;
-
-    /** Phase-2 counter CDFs (empty in phase 1). */
-    prof::Cdf sm_active;
-    prof::Cdf issue_slot;
-    prof::Cdf tc_util;
-
-    /** Phase-2 kernel spans. */
-    double kernel_us_mean = 0;
-    std::uint64_t kernels = 0;
-
-    int dvfs_throttle_events = 0;
-    double final_freq_frac = 1.0;
 };
+
+// ---------------------------------------------------------------------
+// Field tables. fieldTable(type, v) calls v(name, &Struct::member) once
+// per field, in digest order; visitFields(obj, v) calls v(name, field)
+// on an object. The result digests, the result-cache key, the cache's
+// JSON entries and spec echo, and runExperiment's per-process mean are
+// all derived from these tables, so adding a field is one line here.
+// How a field type is encoded belongs to each visitor, not to the
+// struct.
+// ---------------------------------------------------------------------
+
+template <class T>
+using Fields = std::type_identity<T>;
+
+template <class V>
+void
+fieldTable(Fields<ExperimentSpec>, V &&v)
+{
+    using S = ExperimentSpec;
+    v("device", &S::device);
+    v("model", &S::model);
+    v("precision", &S::precision);
+    v("batch", &S::batch);
+    v("processes", &S::processes);
+    v("phase", &S::phase);
+    v("warmup", &S::warmup);
+    v("duration", &S::duration);
+    v("pre_enqueue", &S::pre_enqueue);
+    v("dvfs", &S::dvfs);
+    v("biglittle", &S::biglittle);
+    v("spatial_sharing", &S::spatial_sharing);
+    v("seed", &S::seed);
+}
+
+template <class V>
+void
+fieldTable(Fields<WorkloadSpec>, V &&v)
+{
+    using S = WorkloadSpec;
+    v("model", &S::model);
+    v("precision", &S::precision);
+    v("batch", &S::batch);
+    v("processes", &S::processes);
+}
+
+template <class V>
+void
+fieldTable(Fields<MixedExperimentSpec>, V &&v)
+{
+    using S = MixedExperimentSpec;
+    v("device", &S::device);
+    v("workloads", &S::workloads);
+    v("phase", &S::phase);
+    v("warmup", &S::warmup);
+    v("duration", &S::duration);
+    v("pre_enqueue", &S::pre_enqueue);
+    v("dvfs", &S::dvfs);
+    v("biglittle", &S::biglittle);
+    v("spatial_sharing", &S::spatial_sharing);
+    v("seed", &S::seed);
+}
+
+template <class V>
+void
+fieldTable(Fields<ProcessMetrics>, V &&v)
+{
+    using P = ProcessMetrics;
+    v("name", &P::name);
+    v("deployed", &P::deployed);
+    v("throughput", &P::throughput);
+    v("ec_ms", &P::ec_ms);
+    v("pipeline_ms", &P::pipeline_ms);
+    v("enqueue_ms", &P::enqueue_ms);
+    v("launch_ms_per_ec", &P::launch_ms_per_ec);
+    v("sync_ms", &P::sync_ms);
+    v("blocking_ms_per_ec", &P::blocking_ms_per_ec);
+    v("resched_ms_per_ec", &P::resched_ms_per_ec);
+    v("cpu_ms_per_ec", &P::cpu_ms_per_ec);
+    v("cache_ms_per_ec", &P::cache_ms_per_ec);
+    v("migrations", &P::migrations);
+    v("preemptions", &P::preemptions);
+    v("ecs", &P::ecs);
+}
+
+template <class V>
+void
+fieldTable(Fields<ExperimentResult>, V &&v)
+{
+    using R = ExperimentResult;
+    v("spec", &R::spec);
+    v("all_deployed", &R::all_deployed);
+    v("deployed_count", &R::deployed_count);
+    v("total_throughput", &R::total_throughput);
+    v("throughput_per_process", &R::throughput_per_process);
+    v("avg_power_w", &R::avg_power_w);
+    v("max_power_w", &R::max_power_w);
+    v("gpu_util_pct", &R::gpu_util_pct);
+    v("mem_pct", &R::mem_pct);
+    v("workload_mem_mb", &R::workload_mem_mb);
+    v("dvfs_throttle_events", &R::dvfs_throttle_events);
+    v("final_freq_frac", &R::final_freq_frac);
+    v("sm_active", &R::sm_active);
+    v("issue_slot", &R::issue_slot);
+    v("tc_util", &R::tc_util);
+    v("kernel_us_mean", &R::kernel_us_mean);
+    v("kernels", &R::kernels);
+    v("procs", &R::procs);
+    v("mean", &R::mean);
+}
+
+template <class V>
+void
+fieldTable(Fields<MixedExperimentResult>, V &&v)
+{
+    using R = MixedExperimentResult;
+    v("spec", &R::spec);
+    v("all_deployed", &R::all_deployed);
+    v("deployed_count", &R::deployed_count);
+    v("total_throughput", &R::total_throughput);
+    v("avg_power_w", &R::avg_power_w);
+    v("max_power_w", &R::max_power_w);
+    v("gpu_util_pct", &R::gpu_util_pct);
+    v("mem_pct", &R::mem_pct);
+    v("workload_mem_mb", &R::workload_mem_mb);
+    v("throughput_by_workload", &R::throughput_by_workload);
+    v("procs", &R::procs);
+    v("sm_active", &R::sm_active);
+    v("issue_slot", &R::issue_slot);
+    v("tc_util", &R::tc_util);
+    v("kernel_us_mean", &R::kernel_us_mean);
+    v("kernels", &R::kernels);
+    v("dvfs_throttle_events", &R::dvfs_throttle_events);
+    v("final_freq_frac", &R::final_freq_frac);
+}
+
+/** Call v(name, obj.field) for every field of @p obj, in table order. */
+template <class T, class V>
+void
+visitFields(T &obj, V &&v)
+{
+    fieldTable(Fields<std::remove_const_t<T>>{},
+               [&](const char *name, auto member) { v(name, obj.*member); });
+}
 
 } // namespace jetsim::core
 

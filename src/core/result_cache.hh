@@ -10,12 +10,14 @@
  * the cache key is a canonical FNV-1a digest over *every* field of
  * the ExperimentSpec / MixedExperimentSpec plus a format version, so
  * any change to any field (or to the serialisation format) misses.
+ * Key, JSON layout and spec echo all follow the field tables in
+ * core/experiment.hh; core/json.hh does the parsing and printing.
  *
  * Entries are single JSON files, `jetsim-<16-hex-key>.json`, written
  * atomically (temp file + rename). Doubles are stored with 17
  * significant digits so the round trip is bit-exact — a cached
  * result's core::resultDigest equals the fresh one's. Loads verify
- * the echoed spec field-by-field (guards digest collisions and stale
+ * the echoed spec field by field (guards digest collisions and stale
  * formats); any parse error, truncation or mismatch is treated as a
  * miss, never an error — a corrupted cache can only cost time.
  */
@@ -36,7 +38,7 @@ class ResultCache
 {
   public:
     /** Bump when the JSON schema or the key derivation changes. */
-    static constexpr int kFormatVersion = 1;
+    static constexpr int kFormatVersion = 2;
 
     /** Open (and create, if needed) a cache rooted at @p dir. */
     explicit ResultCache(std::string dir);

@@ -1,40 +1,11 @@
 #include "lint/finding.hh"
 
 #include <cstdio>
-#include <sstream>
 
 #include "check/reporter.hh"
+#include "core/json.hh"
 
 namespace jetsim::lint {
-
-namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 Finding::str() const
@@ -110,26 +81,28 @@ Report::text() const
 std::string
 Report::json() const
 {
-    std::ostringstream os;
-    os << "{\"schema_version\":" << kJsonSchemaVersion
-       << ",\"findings\":[";
-    bool first = true;
+    core::json::Writer w;
+    w.beginObject();
+    w.field("schema_version", kJsonSchemaVersion);
+    w.key("findings").beginArray();
     for (const auto &f : findings_) {
-        if (!first)
-            os << ",";
-        first = false;
         const RuleInfo &info = ruleInfo(f.rule);
-        os << "{\"rule\":\"" << info.id << "\",\"title\":\""
-           << info.title << "\",\"severity\":\""
-           << check::severityName(f.severity) << "\",\"component\":\""
-           << jsonEscape(f.component) << "\",\"location\":\""
-           << jsonEscape(f.location) << "\",\"message\":\""
-           << jsonEscape(f.message) << "\",\"hint\":\""
-           << jsonEscape(f.hint) << "\"}";
+        w.beginObject();
+        w.field("rule", info.id);
+        w.field("title", info.title);
+        w.field("severity", check::severityName(f.severity));
+        w.field("component", f.component);
+        w.field("location", f.location);
+        w.field("message", f.message);
+        w.field("hint", f.hint);
+        w.endObject();
     }
-    os << "],\"errors\":" << errors() << ",\"warnings\":" << warnings()
-       << ",\"infos\":" << count(check::Severity::Info) << "}";
-    return os.str();
+    w.endArray();
+    w.field("errors", errors());
+    w.field("warnings", warnings());
+    w.field("infos", count(check::Severity::Info));
+    w.endObject();
+    return w.str();
 }
 
 void

@@ -9,9 +9,9 @@
  * from the embedded configuration, run the script, and the same
  * failure must appear — runs are pure functions of (config, script).
  *
- * The reader is a minimal scanner for exactly the format the writer
- * produces (no external JSON dependency); it is tolerant of
- * whitespace and field order but not a general JSON parser.
+ * Files are read and written through core/json.hh, so they are plain
+ * JSON that any tool can load. A malformed file, an unknown model or
+ * an unknown precision is an error for the caller, never an exit.
  */
 
 #ifndef JETSIM_MC_CE_HH
@@ -35,7 +35,7 @@ struct CounterExample
     std::string detail; ///< human diagnosis from the failing run
     std::uint64_t ref_digest = 0;
     std::vector<int> script;
-    /** Populated when model == "deployment". */
+    /** Used when model == "deployment" (written for every model). */
     DeployConfig deploy;
 };
 

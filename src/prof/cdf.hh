@@ -52,7 +52,8 @@ class Cdf
      * Raw samples in their current order (sorted iff a quantile-style
      * query already ran). Exposed so the result cache can serialise a
      * CDF losslessly; quantiles over the round-tripped samples are
-     * bit-identical to the original's.
+     * bit-identical to the original's, and so is the mean as long as
+     * no query ran before the store (the Runner stores fresh results).
      */
     const std::vector<double> &samples() const { return samples_; }
 
@@ -61,6 +62,9 @@ class Cdf
 
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
+    /** Summed in insertion order, so mean() does not depend on whether
+     * a query has sorted the samples. */
+    double sum_ = 0;
 };
 
 } // namespace jetsim::prof

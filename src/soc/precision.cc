@@ -19,10 +19,18 @@ name(Precision p)
 Precision
 precisionFromName(const std::string &s)
 {
+    if (const auto p = findPrecision(s))
+        return *p;
+    sim::fatal("unknown precision '%s'", s.c_str());
+}
+
+std::optional<Precision>
+findPrecision(std::string_view s)
+{
     for (Precision p : kAllPrecisions)
         if (s == name(p))
             return p;
-    sim::fatal("unknown precision '%s'", s.c_str());
+    return std::nullopt;
 }
 
 unsigned

@@ -10,7 +10,9 @@
 #define JETSIM_SOC_PRECISION_HH
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace jetsim::soc {
 
@@ -24,6 +26,9 @@ inline constexpr std::array<Precision, 4> kAllPrecisions = {
 
 /** Short lowercase name as used in the paper ("int8", "fp16", ...). */
 const char *name(Precision p);
+
+/** The precision named @p s; nullopt on unknown names. */
+std::optional<Precision> findPrecision(std::string_view s);
 
 /** Parse a precision name; fatal() on unknown names. */
 Precision precisionFromName(const std::string &s);

@@ -67,6 +67,18 @@ TEST(Determinism, DeepPhaseIsAlsoReproducible)
     EXPECT_EQ(cap.total(), 0u);
 }
 
+TEST(Determinism, DigestIsIdempotent)
+{
+    // Digesting reads CDF quantiles; that must not change the CDF
+    // mean a second digest of the same result reads.
+    auto spec = smallSpec(99);
+    spec.phase = core::Phase::Deep;
+    const auto r = core::runExperiment(spec);
+    ASSERT_GT(r.sm_active.count(), 1u);
+    const auto first = core::resultDigest(r);
+    EXPECT_EQ(core::resultDigest(r), first);
+}
+
 TEST(Determinism, DigestCoversPerProcessMetrics)
 {
     const auto a = core::runExperiment(smallSpec(7));

@@ -203,6 +203,52 @@ TEST_F(ResultCacheTest, AnySpecFieldChangeChangesTheKey)
         s.spatial_sharing = true;
     }));
     EXPECT_NE(key, mutated([](Spec &s) { s.seed += 1; }));
+
+    // The same for every MixedExperimentSpec and WorkloadSpec field.
+    core::MixedExperimentSpec mbase;
+    mbase.device = "orin-nano";
+    mbase.workloads = {{"resnet50", soc::Precision::Fp16, 1, 1},
+                       {"yolov8n", soc::Precision::Int8, 2, 1}};
+    mbase.seed = 7;
+    const auto mkey = core::ResultCache::specKey(mbase);
+
+    auto mixed = [&](auto mutate) {
+        auto s = mbase;
+        mutate(s);
+        return core::ResultCache::specKey(s);
+    };
+
+    using Mixed = core::MixedExperimentSpec;
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.device = "nano"; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        s.workloads.push_back({"resnet50", soc::Precision::Fp16, 1, 1});
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.workloads.pop_back(); }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        std::swap(s.workloads[0], s.workloads[1]);
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        s.workloads[1].model = "mobilenet_v2";
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        s.workloads[1].precision = soc::Precision::Fp32;
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.workloads[1].batch = 4; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        s.workloads[1].processes = 3;
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        s.phase = core::Phase::Deep;
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.warmup += 1; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.duration += 1; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.pre_enqueue = 0; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.dvfs = false; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.biglittle = false; }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) {
+        s.spatial_sharing = true;
+    }));
+    EXPECT_NE(mkey, mixed([](Mixed &s) { s.seed += 1; }));
 }
 
 TEST_F(ResultCacheTest, MixedKeyCoversWorkloadsAndKind)
@@ -247,11 +293,12 @@ TEST_F(ResultCacheTest, CorruptedFilesFallBackToMiss)
         "{\"version\": 999999, \"key\": 1, \"result\": {}}", // version
         "[1, 2, 3]",                 // wrong shape
         "{}",                        // missing everything
+        std::string(100000, '['),    // nesting past the parser's limit
     };
     for (const auto &bad : corruptions) {
         std::ofstream(path, std::ios::trunc) << bad;
         EXPECT_FALSE(cache.load(spec).has_value())
-            << "accepted corrupted content: " << bad;
+            << "accepted corrupted content: " << bad.substr(0, 64);
     }
 
     // Truncated-but-valid-prefix of the real file.

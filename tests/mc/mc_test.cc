@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/json.hh"
 #include "mc/ce.hh"
 #include "mc/deployment.hh"
 #include "mc/toylock.hh"
@@ -192,6 +193,36 @@ TEST(CounterExampleTest, ToyLockCeReplaysEndToEnd)
     std::string err;
     ASSERT_TRUE(mc::readCe(path, back, err)) << err;
     EXPECT_EQ(mc::replayCe(back), "");
+    std::remove(path.c_str());
+}
+
+TEST(CounterExampleTest, ControlCharactersAndUnknownNamesAreHandled)
+{
+    const std::string path = testing::TempDir() + "/jetmc_ce_escape.json";
+    mc::CounterExample ce;
+    ce.model = "deployment";
+    ce.what = "digest-mismatch";
+    ce.detail = "line\n\ttab \"quoted\"";
+    ce.script = {1};
+    ce.deploy = twoProcConfig(false);
+    ASSERT_TRUE(mc::writeCe(ce, path));
+
+    std::string text = core::json::readFile(path).value_or("");
+    EXPECT_EQ(text.find('\t'), std::string::npos) << "raw control char";
+
+    mc::CounterExample back;
+    std::string err;
+    ASSERT_TRUE(mc::readCe(path, back, err)) << err;
+    EXPECT_EQ(back.detail, ce.detail);
+
+    // An unknown precision is the caller's error, not a process exit.
+    const auto at = text.find("\"fp16\"");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 6, "\"fp7\"");
+    ASSERT_TRUE(core::json::writeFile(path, text));
+    err.clear();
+    EXPECT_FALSE(mc::readCe(path, back, err));
+    EXPECT_NE(err.find("deployment"), std::string::npos) << err;
     std::remove(path.c_str());
 }
 

@@ -25,6 +25,8 @@
 # digest-schedule-independent over every interleaving within the
 # depth bound, with the DPOR reduction required to earn its keep
 # (>= 10x fewer runs than the naive DFS on the 3-process config).
+# Every counterexample file it writes, and GOLDEN_fleet.json, must
+# then load with Python's json module.
 #
 # Pass 1e is the static-bound soundness gate (jetbound): the zoo is
 # simulated with --compare-sim and every measurement must land
@@ -134,6 +136,9 @@ if [ "$run_plain" = 1 ]; then
     "$jetmc" --device=nano --model=yolov8n --procs=3 \
         --max-ecs=2 --depth=20 --min-reduction=10 \
         --ce-dir="$ce_dir" | tail -2
+    for f in "$ce_dir"/*.json "$repo/GOLDEN_fleet.json"; do
+        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$f"
+    done
     banner "pass 1e: static-bound soundness (jetbound)"
     jetbound="$repo/build-ci/plain/tools/jetbound"
     # Hard soundness gate: simulate the zoo and require every

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "argparse.hh"
+#include "core/json.hh"
 
 #include "mc/ce.hh"
 #include "mc/deployment.hh"
@@ -123,42 +124,38 @@ void
 emitJson(const std::string &path,
          const std::vector<CheckResult> &results)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
+    core::json::Writer w(/*pretty_depth=*/2);
+    w.beginObject();
+    w.key("configs").beginArray();
+    for (const auto &r : results) {
+        const auto &rep = r.dpor;
+        char digest[32];
+        std::snprintf(digest, sizeof(digest), "%016llx",
+                      static_cast<unsigned long long>(rep.digest));
+        w.beginObject();
+        w.field("label", r.label);
+        w.field("runs", rep.runs);
+        w.field("pruned", rep.pruned);
+        w.field("clean", rep.clean());
+        w.field("proved", rep.proved());
+        w.field("digest", digest);
+        w.field("ce", rep.ce_what);
+        if (r.compared) {
+            w.field("naive_runs", r.naive_runs);
+            w.field("reduction", r.reduction);
+        }
+        w.key("max_block_ms").beginArray();
+        for (const double ms : rep.max_block_ms)
+            w.value(ms);
+        w.endArray();
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+    if (!core::json::writeFile(path, w.str() + "\n")) {
         std::fprintf(stderr, "jetmc: cannot write %s\n", path.c_str());
         return;
     }
-    std::fprintf(f, "{\n  \"configs\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        const auto &rep = r.dpor;
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", \"runs\": %llu, "
-                     "\"pruned\": %llu, \"clean\": %s, "
-                     "\"proved\": %s, \"digest\": \"%016llx\", "
-                     "\"ce\": \"%s\"",
-                     r.label.c_str(),
-                     static_cast<unsigned long long>(rep.runs),
-                     static_cast<unsigned long long>(rep.pruned),
-                     rep.clean() ? "true" : "false",
-                     rep.proved() ? "true" : "false",
-                     static_cast<unsigned long long>(rep.digest),
-                     rep.ce_what.c_str());
-        if (r.compared)
-            std::fprintf(f,
-                         ", \"naive_runs\": %llu, "
-                         "\"reduction\": %.2f",
-                         static_cast<unsigned long long>(r.naive_runs),
-                         r.reduction);
-        std::fprintf(f, ", \"max_block_ms\": [");
-        for (std::size_t b = 0; b < rep.max_block_ms.size(); ++b)
-            std::fprintf(f, "%s%.4f", b ? ", " : "",
-                         rep.max_block_ms[b]);
-        std::fprintf(f, "]}%s\n",
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
     std::fprintf(stderr, "jetmc: wrote %s\n", path.c_str());
 }
 

@@ -33,8 +33,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,6 +42,7 @@
 #include "check/reporter.hh"
 #include "core/digest.hh"
 #include "core/fleet.hh"
+#include "core/json.hh"
 #include "core/profiler.hh"
 #include "core/runner.hh"
 #include "gpu/cost_model.hh"
@@ -248,40 +247,6 @@ goldenSuite()
     return suite;
 }
 
-/** Minimal scanner for the golden file's flat JSON (mirrors the
- * hand-rolled style of mc/ce.cc): "label": "...", "digest": "...". */
-std::map<std::string, std::string>
-readGolden(const std::string &path, bool &ok)
-{
-    std::map<std::string, std::string> out;
-    std::ifstream in(path);
-    ok = static_cast<bool>(in);
-    if (!ok)
-        return out;
-    std::string line, label;
-    while (std::getline(in, line)) {
-        const auto grab = [&line](const char *key) -> std::string {
-            const auto k = line.find(key);
-            if (k == std::string::npos)
-                return "";
-            const auto q1 = line.find('"', k + std::strlen(key));
-            const auto q2 = line.find('"', q1 + 1);
-            if (q1 == std::string::npos || q2 == std::string::npos)
-                return "";
-            return line.substr(q1 + 1, q2 - q1 - 1);
-        };
-        const auto l = grab("\"label\":");
-        if (!l.empty())
-            label = l;
-        const auto d = grab("\"digest\":");
-        if (!d.empty() && !label.empty()) {
-            out[label] = d;
-            label.clear();
-        }
-    }
-    return out;
-}
-
 int
 fleetGolden(const std::string &path, bool update)
 {
@@ -289,36 +254,46 @@ fleetGolden(const std::string &path, bool update)
     char hex[32];
 
     if (update) {
-        std::ofstream out(path);
-        if (!out) {
+        core::json::Writer w(/*pretty_depth=*/2);
+        w.beginObject();
+        w.key("fleet_goldens").beginArray();
+        for (const auto &spec : suite) {
+            const auto digest = core::resultDigest(core::runFleet(spec));
+            std::snprintf(hex, sizeof(hex), "%016llx",
+                          static_cast<unsigned long long>(digest));
+            w.beginObject();
+            w.field("label", spec.label());
+            w.field("digest", hex);
+            w.endObject();
+            std::printf("golden: %s -> %s\n", spec.label().c_str(), hex);
+        }
+        w.endArray();
+        w.endObject();
+        if (!core::json::writeFile(path, w.str() + "\n")) {
             std::fprintf(stderr, "simcheck: cannot write %s\n",
                          path.c_str());
             return 2;
         }
-        out << "{\n  \"fleet_goldens\": [\n";
-        for (std::size_t i = 0; i < suite.size(); ++i) {
-            const auto digest =
-                core::resultDigest(core::runFleet(suite[i]));
-            std::snprintf(hex, sizeof(hex), "%016llx",
-                          static_cast<unsigned long long>(digest));
-            out << "    {\"label\": \"" << suite[i].label()
-                << "\", \"digest\": \"" << hex << "\"}"
-                << (i + 1 < suite.size() ? "," : "") << "\n";
-            std::printf("golden: %s -> %s\n",
-                        suite[i].label().c_str(), hex);
-        }
-        out << "  ]\n}\n";
         std::printf("simcheck: wrote %zu fleet goldens to %s\n",
                     suite.size(), path.c_str());
         return 0;
     }
 
-    bool opened = false;
-    const auto committed = readGolden(path, opened);
-    if (!opened) {
-        std::fprintf(stderr, "simcheck: cannot read %s\n",
+    const auto text = core::json::readFile(path);
+    const auto root = text ? core::json::parse(*text) : std::nullopt;
+    const core::json::Value *entries =
+        root ? root->find("fleet_goldens") : nullptr;
+    if (!entries) {
+        std::fprintf(stderr, "simcheck: cannot read goldens from %s\n",
                      path.c_str());
         return 2;
+    }
+    std::map<std::string, std::string> committed;
+    for (const auto &e : entries->items) {
+        const auto label = core::json::as<std::string>(e.find("label"));
+        const auto digest = core::json::as<std::string>(e.find("digest"));
+        if (label && digest)
+            committed[*label] = *digest;
     }
     int failures = 0;
     for (const auto &spec : suite) {
