@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/engine_table.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
-#include "models/zoo.hh"
 #include "prof/cdf.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -71,7 +71,7 @@ struct Node
 {
     Node(const FleetDevice &d, sim::EventQueue &eq, std::uint64_t seed)
         : board(soc::deviceByName(d.device), eq, seed), sched(board),
-          gpu(board), net(models::modelByName(d.model))
+          gpu(board)
     {
         workload::ServingConfig cfg;
         cfg.name = "srv"; // per-fleet index appended by caller
@@ -84,7 +84,6 @@ struct Node
     soc::Board board;
     cpu::OsScheduler sched;
     gpu::GpuEngine gpu;
-    graph::Network net;
     workload::ServingConfig srv_cfg;
     std::unique_ptr<workload::ServingProcess> srv;
 };
@@ -194,18 +193,23 @@ runFleet(const FleetSpec &spec)
     res.spec = spec;
     res.all_deployed = true;
 
+    // One graph and engine per distinct board key, shared by every
+    // board that serves it.
+    const EngineTable engines(spec);
+
     // Boards in spec order; the seed stride keeps per-board RNG
     // streams independent of fleet size.
     std::vector<std::unique_ptr<Node>> nodes;
     nodes.reserve(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
+        const auto &dev = spec.devices[static_cast<std::size_t>(d)];
         auto node = std::make_unique<Node>(
-            spec.devices[static_cast<std::size_t>(d)], eq,
-            spec.seed * 1000003 + static_cast<std::uint64_t>(d));
+            dev, eq, spec.seed * 1000003 + static_cast<std::uint64_t>(d));
         node->board.start();
         node->srv_cfg.name = "srv" + std::to_string(d);
         node->srv = std::make_unique<workload::ServingProcess>(
-            node->board, node->sched, node->gpu, node->net,
+            node->board, node->sched, node->gpu,
+            engines.at(dev.device, dev.model, node->srv_cfg.build),
             node->srv_cfg);
         if (!node->srv->deploy())
             res.all_deployed = false;

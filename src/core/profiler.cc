@@ -4,9 +4,9 @@
 #include <memory>
 #include <type_traits>
 
+#include "core/engine_table.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
-#include "models/zoo.hh"
 #include "prof/jstats.hh"
 #include "prof/nsight.hh"
 #include "sim/event_queue.hh"
@@ -143,11 +143,9 @@ runMixedExperiment(const MixedExperimentSpec &spec)
     gpu::GpuEngine gpu(board);
     gpu.setSpatialSharing(spec.spatial_sharing);
 
-    // One network instance per distinct model name.
-    std::vector<graph::Network> nets;
-    nets.reserve(spec.workloads.size());
-    for (const auto &w : spec.workloads)
-        nets.push_back(models::modelByName(w.model));
+    // Each distinct engine is built once; the workload's processes
+    // share it, each with its own context, stream and memory.
+    const EngineTable engines(spec);
 
     std::vector<ProcessPlan> plans;
     int idx = 0;
@@ -171,10 +169,12 @@ runMixedExperiment(const MixedExperimentSpec &spec)
     std::vector<std::unique_ptr<workload::InferenceProcess>> procs;
     std::vector<int> proc_workload;
     for (auto &plan : plans) {
+        const auto &wl =
+            spec.workloads[static_cast<std::size_t>(plan.workload)];
+        const auto &engine = engines.at(spec.device, wl.model,
+                                        plan.cfg.build);
         procs.push_back(std::make_unique<workload::InferenceProcess>(
-            board, sched, gpu,
-            nets[static_cast<std::size_t>(plan.workload)],
-            std::move(plan.cfg)));
+            board, sched, gpu, engine, std::move(plan.cfg)));
         proc_workload.push_back(plan.workload);
         if (procs.back()->deploy())
             ++res.deployed_count;

@@ -37,7 +37,8 @@ maxPlausibleWatts(const DeviceSpec &spec)
 } // namespace
 
 Board::Board(DeviceSpec spec, sim::EventQueue &eq, std::uint64_t seed)
-    : spec_(std::move(spec)), eq_(eq),
+    : spec_(std::move(spec)), max_plausible_w_(maxPlausibleWatts(spec_)),
+      eq_(eq),
       rng_(seed ^ sim::hashLabel(spec_.name)),
       memory_(spec_.memory.total, spec_.memory.os_reserved),
       power_model_(spec_.power),
@@ -102,11 +103,11 @@ Board::refresh()
 {
     const double p = powerW();
     JETSIM_CHECK(std::isfinite(p) && p >= 0.0 &&
-                     p <= maxPlausibleWatts(spec_) + 0.5,
+                     p <= max_plausible_w_ + 0.5,
                  check::Severity::Error,
                  check::Invariant::Plausibility, kComponent, eq_.now(),
                  "implausible board power %g W (max plausible %g W)",
-                 p, maxPlausibleWatts(spec_));
+                 p, max_plausible_w_);
     power_tw_.set(eq_.now(), p);
 }
 

@@ -83,6 +83,9 @@ class Board
     void refresh();
 
     const DeviceSpec spec_;
+    /** Largest power the coefficient model can produce on spec_;
+     * refresh()'s plausibility bound. */
+    const double max_plausible_w_;
     sim::EventQueue &eq_;
     sim::Rng rng_;
     UnifiedMemory memory_;

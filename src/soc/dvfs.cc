@@ -22,6 +22,7 @@ DvfsGovernor::DvfsGovernor(const DeviceSpec &spec, sim::EventQueue &eq,
       temp_c_(spec.power.ambient_temp_c)
 {
     JETSIM_ASSERT(spec_.gpu.dvfs_levels >= 2);
+    updateFreq();
 }
 
 void
@@ -46,23 +47,19 @@ DvfsGovernor::setEnabled(bool enabled)
     enabled_ = enabled;
     if (!enabled_)
         level_ = spec_.gpu.dvfs_levels - 1;
+    updateFreq();
 }
 
-double
-DvfsGovernor::freqFrac() const
-{
-    // The level arithmetic can land a hair above max_freq_ghz in
-    // floating point; clamp so consumers can rely on (0, 1].
-    return std::min(1.0, freqGhz() / spec_.gpu.max_freq_ghz);
-}
-
-double
-DvfsGovernor::freqGhz() const
+void
+DvfsGovernor::updateFreq()
 {
     const auto &g = spec_.gpu;
     const double step = (g.max_freq_ghz - g.min_freq_ghz) /
                         static_cast<double>(g.dvfs_levels - 1);
-    return g.min_freq_ghz + step * level_;
+    freq_ghz_ = g.min_freq_ghz + step * level_;
+    // The level arithmetic can land a hair above max_freq_ghz in
+    // floating point; clamp so consumers can rely on (0, 1].
+    freq_frac_ = std::min(1.0, freq_ghz_ / g.max_freq_ghz);
 }
 
 void
@@ -93,6 +90,7 @@ DvfsGovernor::tick()
                    temp_c_ < spec_.power.throttle_temp_c - 5.0) {
             level_ = std::min(level_ + 1, spec_.gpu.dvfs_levels - 1);
         }
+        updateFreq();
     }
 
     // JetSan: the clock must stay inside the device's DVFS table.

@@ -46,10 +46,10 @@ class DvfsGovernor
     bool enabled() const { return enabled_; }
 
     /** Current GPU frequency as a fraction of the maximum. */
-    double freqFrac() const;
+    double freqFrac() const { return freq_frac_; }
 
     /** Current GPU frequency in GHz. */
-    double freqGhz() const;
+    double freqGhz() const { return freq_ghz_; }
 
     /** Current discrete level, 0 (min) .. levels-1 (max). */
     int level() const { return level_; }
@@ -66,12 +66,17 @@ class DvfsGovernor
   private:
     void tick();
 
+    /** Recompute the cached clock after level_ changed. */
+    void updateFreq();
+
     const DeviceSpec spec_;
     sim::EventQueue &eq_;
     PowerFn power_fn_;
     bool enabled_ = true;
     bool running_ = false;
     int level_;
+    double freq_ghz_ = 0.0;  ///< clock at level_ (updateFreq)
+    double freq_frac_ = 0.0; ///< freq_ghz_ / max, clamped to 1
     double temp_c_;
     double power_ema_ = 0.0;
     std::uint64_t throttle_events_ = 0;

@@ -7,11 +7,17 @@
  * will pin (weights, activation workspace, pre-enqueued I/O buffers,
  * and builder scratch). Engines are compiled for a fixed batch size,
  * matching the paper's methodology (dynamic batching disabled).
+ *
+ * As in TensorRT deployments, one plan serves many processes: a run
+ * builds each distinct (device, model, precision, batch) engine once
+ * and shares it as a SharedEngine; every process adds only its own
+ * ExecutionContext, stream and device-memory allocation.
  */
 
 #ifndef JETSIM_TRT_ENGINE_HH
 #define JETSIM_TRT_ENGINE_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,6 +103,9 @@ class Engine
     double total_flops_ = 0;
     double total_bytes_ = 0;
 };
+
+/** An engine shared by every process that deploys it. */
+using SharedEngine = std::shared_ptr<const Engine>;
 
 } // namespace jetsim::trt
 

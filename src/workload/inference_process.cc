@@ -9,47 +9,42 @@ namespace jetsim::workload {
 InferenceProcess::InferenceProcess(soc::Board &board,
                                    cpu::OsScheduler &sched,
                                    gpu::GpuEngine &gpu,
-                                   const graph::Network &net,
+                                   trt::SharedEngine engine,
                                    ProcessConfig cfg)
-    : board_(board), gpu_(gpu), net_(net), cfg_(std::move(cfg)),
+    : board_(board), gpu_(gpu), cfg_(std::move(cfg)),
       rng_(board.rng().fork("proc-" + cfg_.name)),
-      thread_(sched.createThread(cfg_.name, /*big=*/true))
+      thread_(sched.createThread(cfg_.name, /*big=*/true)),
+      engine_(std::move(engine))
+{
+    JETSIM_ASSERT(engine_ && engine_->batch() == cfg_.build.batch &&
+                  engine_->requestedPrecision() == cfg_.build.precision);
+}
+
+InferenceProcess::InferenceProcess(soc::Board &board,
+                                   cpu::OsScheduler &sched,
+                                   gpu::GpuEngine &gpu,
+                                   const graph::Network &net,
+                                   const ProcessConfig &cfg)
+    : InferenceProcess(board, sched, gpu,
+                       std::make_shared<const trt::Engine>(
+                           trt::Builder(board.spec()).build(net, cfg.build)),
+                       cfg)
 {
 }
 
 bool
 InferenceProcess::deploy()
 {
-    JETSIM_ASSERT(!deployed_);
-
-    trt::Builder builder(board_.spec());
-    engine_.emplace(builder.build(net_, cfg_.build));
-
-    auto &mem = board_.memory();
-    runtime_mem_ = cuda::DeviceBuffer::tryAlloc(
-        mem, cfg_.name, board_.spec().memory.process_runtime_overhead);
-    if (!runtime_mem_) {
-        engine_.reset();
-        return false;
-    }
-    engine_mem_ = cuda::DeviceBuffer::tryAlloc(mem, cfg_.name,
-                                               engine_->deviceBytes());
-    if (!engine_mem_) {
-        runtime_mem_.reset();
-        engine_.reset();
-        return false;
-    }
-
-    stream_.emplace(gpu_, cfg_.name);
-    ctx_.emplace(*engine_, *stream_, *thread_, board_);
-    deployed_ = true;
-    return true;
+    JETSIM_ASSERT(!deployed());
+    dep_ = Deployment::tryCreate(board_, gpu_, *thread_, *engine_,
+                                 cfg_.name);
+    return deployed();
 }
 
 void
 InferenceProcess::start()
 {
-    JETSIM_ASSERT(deployed_);
+    JETSIM_ASSERT(deployed());
     board_.eq().scheduleIn(cfg_.start_offset,
                            [this] { prepAndEnqueue(); });
 }
@@ -80,7 +75,7 @@ InferenceProcess::enqueueOne()
     ++launched_;
     auto slot = std::make_shared<Slot>();
     pending_.push_back(slot);
-    ctx_->enqueue(
+    dep_->context().enqueue(
         [this, slot](const trt::EcRecord &rec) {
             slot->rec = rec;
             slot->gpu_done = true;
@@ -219,22 +214,10 @@ InferenceProcess::throughput() const
     return span > 0 ? static_cast<double>(images_) / span : 0.0;
 }
 
-const trt::Engine &
-InferenceProcess::engine() const
-{
-    JETSIM_ASSERT(engine_.has_value());
-    return *engine_;
-}
-
 sim::Bytes
 InferenceProcess::deviceBytes() const
 {
-    sim::Bytes n = 0;
-    if (runtime_mem_)
-        n += runtime_mem_->size();
-    if (engine_mem_)
-        n += engine_mem_->size();
-    return n;
+    return dep_ ? dep_->deviceBytes() : 0;
 }
 
 } // namespace jetsim::workload

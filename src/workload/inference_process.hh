@@ -2,9 +2,10 @@
  * @file
  * One concurrent inference process (the trtexec analogue).
  *
- * A process owns an engine built for its precision/batch, a CUDA
- * stream, an enqueue thread on the big CPU cluster, and its device
- * memory (CUDA runtime overhead + engine footprint). The run loop
+ * A process runs a shared engine built for its precision/batch and
+ * owns an ExecutionContext, a CUDA stream, an enqueue thread on the
+ * big CPU cluster, and its device memory (CUDA runtime overhead +
+ * engine footprint; see workload/deployment.hh). The run loop
  * follows trtexec's discipline: one batch is pre-enqueued so the GPU
  * never idles on host-side preprocessing — the paper notes this makes
  * measured throughput an upper bound, and ablation A1 quantifies it.
@@ -20,17 +21,15 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "cpu/scheduler.hh"
-#include "cuda/device_buffer.hh"
-#include "cuda/stream.hh"
 #include "graph/network.hh"
 #include "prof/cdf.hh"
 #include "sim/stats.hh"
 #include "trt/builder.hh"
 #include "trt/execution_context.hh"
+#include "workload/deployment.hh"
 
 namespace jetsim::workload {
 
@@ -70,21 +69,29 @@ struct ProcessConfig
 class InferenceProcess
 {
   public:
+    /** A process on @p engine, which must have been built for
+     * @p board's device at cfg.build. */
+    InferenceProcess(soc::Board &board, cpu::OsScheduler &sched,
+                     gpu::GpuEngine &gpu, trt::SharedEngine engine,
+                     ProcessConfig cfg);
+
+    /** A process on an engine of its own, built from @p net here;
+     * the process keeps no reference to @p net. */
     InferenceProcess(soc::Board &board, cpu::OsScheduler &sched,
                      gpu::GpuEngine &gpu, const graph::Network &net,
-                     ProcessConfig cfg);
+                     const ProcessConfig &cfg);
 
     InferenceProcess(const InferenceProcess &) = delete;
     InferenceProcess &operator=(const InferenceProcess &) = delete;
 
     /**
-     * Build the engine and pin device memory.
+     * Pin device memory and create the stream and context.
      * @return false when unified memory cannot hold the deployment
      *         (the paper's Nano FCN_ResNet50 x4 failure mode).
      */
     bool deploy();
 
-    bool deployed() const { return deployed_; }
+    bool deployed() const { return dep_ != nullptr; }
 
     /** Begin the inference loop (after deploy()). */
     void start();
@@ -121,7 +128,7 @@ class InferenceProcess
     const prof::Cdf &latencyCdf() const { return latency_cdf_; }
     /** @} */
 
-    const trt::Engine &engine() const;
+    const trt::Engine &engine() const { return *engine_; }
     const cpu::Thread &thread() const { return *thread_; }
     const ProcessConfig &config() const { return cfg_; }
 
@@ -151,18 +158,13 @@ class InferenceProcess
 
     soc::Board &board_;
     gpu::GpuEngine &gpu_;
-    graph::Network net_;
     ProcessConfig cfg_;
     sim::Rng rng_;
 
     cpu::Thread *thread_;
-    std::optional<trt::Engine> engine_;
-    std::optional<cuda::Stream> stream_;
-    std::optional<trt::ExecutionContext> ctx_;
-    std::optional<cuda::DeviceBuffer> runtime_mem_;
-    std::optional<cuda::DeviceBuffer> engine_mem_;
+    trt::SharedEngine engine_;
+    std::unique_ptr<Deployment> dep_; ///< null until deployed
 
-    bool deployed_ = false;
     bool stopped_ = false;
     bool measuring_ = false;
     std::deque<std::shared_ptr<Slot>> pending_;

@@ -10,49 +10,44 @@ namespace jetsim::workload {
 ServingProcess::ServingProcess(soc::Board &board,
                                cpu::OsScheduler &sched,
                                gpu::GpuEngine &gpu,
-                               const graph::Network &net,
+                               trt::SharedEngine engine,
                                ServingConfig cfg)
-    : board_(board), gpu_(gpu), net_(net), cfg_(std::move(cfg)),
+    : board_(board), gpu_(gpu), cfg_(std::move(cfg)),
       rng_(board.rng().fork("serve-" + cfg_.name)),
-      thread_(sched.createThread(cfg_.name, /*big=*/true))
+      thread_(sched.createThread(cfg_.name, /*big=*/true)),
+      engine_(std::move(engine))
 {
+    JETSIM_ASSERT(engine_ && engine_->batch() == cfg_.build.batch &&
+                  engine_->requestedPrecision() == cfg_.build.precision);
     // 0 = external-only mode (fleet balancer feeds injectArrival).
     JETSIM_ASSERT(cfg_.arrival_rate >= 0.0);
+}
+
+ServingProcess::ServingProcess(soc::Board &board,
+                               cpu::OsScheduler &sched,
+                               gpu::GpuEngine &gpu,
+                               const graph::Network &net,
+                               const ServingConfig &cfg)
+    : ServingProcess(board, sched, gpu,
+                     std::make_shared<const trt::Engine>(
+                         trt::Builder(board.spec()).build(net, cfg.build)),
+                     cfg)
+{
 }
 
 bool
 ServingProcess::deploy()
 {
-    JETSIM_ASSERT(!deployed_);
-
-    trt::Builder builder(board_.spec());
-    engine_.emplace(builder.build(net_, cfg_.build));
-
-    auto &mem = board_.memory();
-    runtime_mem_ = cuda::DeviceBuffer::tryAlloc(
-        mem, cfg_.name, board_.spec().memory.process_runtime_overhead);
-    if (!runtime_mem_) {
-        engine_.reset();
-        return false;
-    }
-    engine_mem_ = cuda::DeviceBuffer::tryAlloc(mem, cfg_.name,
-                                               engine_->deviceBytes());
-    if (!engine_mem_) {
-        runtime_mem_.reset();
-        engine_.reset();
-        return false;
-    }
-
-    stream_.emplace(gpu_, cfg_.name);
-    ctx_.emplace(*engine_, *stream_, *thread_, board_);
-    deployed_ = true;
-    return true;
+    JETSIM_ASSERT(!deployed());
+    dep_ = Deployment::tryCreate(board_, gpu_, *thread_, *engine_,
+                                 cfg_.name);
+    return deployed();
 }
 
 void
 ServingProcess::start()
 {
-    JETSIM_ASSERT(deployed_);
+    JETSIM_ASSERT(deployed());
     if (cfg_.arrival_rate > 0.0)
         scheduleArrival();
 }
@@ -87,7 +82,7 @@ ServingProcess::injectArrival(sim::Tick origin)
 {
     if (stopped_)
         return;
-    JETSIM_ASSERT(deployed_);
+    JETSIM_ASSERT(deployed());
     JETSIM_ASSERT(origin <= board_.eq().now());
     ++arrived_;
     // Queue the *origin* tick: the request's latency clock started at
@@ -129,7 +124,7 @@ ServingProcess::enqueueOne()
     }
     pending_.push_back(slot);
 
-    ctx_->enqueue(
+    dep_->context().enqueue(
         [this, slot](const trt::EcRecord &rec) {
             slot->gpu_done = true;
             if (measuring_) {
@@ -231,13 +226,6 @@ ServingProcess::achievedThroughput() const
 {
     const double span = sim::toSec(window_end_ - window_start_);
     return span > 0 ? static_cast<double>(served_) / span : 0.0;
-}
-
-const trt::Engine &
-ServingProcess::engine() const
-{
-    JETSIM_ASSERT(engine_.has_value());
-    return *engine_;
 }
 
 } // namespace jetsim::workload

@@ -21,17 +21,15 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "cpu/scheduler.hh"
-#include "cuda/device_buffer.hh"
-#include "cuda/stream.hh"
 #include "graph/network.hh"
 #include "prof/cdf.hh"
 #include "sim/rng.hh"
 #include "trt/builder.hh"
 #include "trt/execution_context.hh"
+#include "workload/deployment.hh"
 
 namespace jetsim::workload {
 
@@ -57,17 +55,26 @@ struct ServingConfig
 class ServingProcess
 {
   public:
+    /** A server on @p engine, which must have been built for
+     * @p board's device at cfg.build. */
+    ServingProcess(soc::Board &board, cpu::OsScheduler &sched,
+                   gpu::GpuEngine &gpu, trt::SharedEngine engine,
+                   ServingConfig cfg);
+
+    /** A server on an engine of its own, built from @p net here;
+     * the server keeps no reference to @p net. */
     ServingProcess(soc::Board &board, cpu::OsScheduler &sched,
                    gpu::GpuEngine &gpu, const graph::Network &net,
-                   ServingConfig cfg);
+                   const ServingConfig &cfg);
 
     ServingProcess(const ServingProcess &) = delete;
     ServingProcess &operator=(const ServingProcess &) = delete;
 
-    /** Build the engine and pin device memory; false on OOM. */
+    /** Pin device memory and create the stream and context; false
+     * on OOM. */
     bool deploy();
 
-    bool deployed() const { return deployed_; }
+    bool deployed() const { return dep_ != nullptr; }
 
     /** Begin arrivals and the serving loop. */
     void start();
@@ -103,7 +110,7 @@ class ServingProcess
     std::size_t maxQueueDepth() const { return max_queue_; }
     /** @} */
 
-    const trt::Engine &engine() const;
+    const trt::Engine &engine() const { return *engine_; }
 
   private:
     struct Slot
@@ -124,18 +131,13 @@ class ServingProcess
 
     soc::Board &board_;
     gpu::GpuEngine &gpu_;
-    graph::Network net_;
     ServingConfig cfg_;
     sim::Rng rng_;
 
     cpu::Thread *thread_;
-    std::optional<trt::Engine> engine_;
-    std::optional<cuda::Stream> stream_;
-    std::optional<trt::ExecutionContext> ctx_;
-    std::optional<cuda::DeviceBuffer> runtime_mem_;
-    std::optional<cuda::DeviceBuffer> engine_mem_;
+    trt::SharedEngine engine_;
+    std::unique_ptr<Deployment> dep_; ///< null until deployed
 
-    bool deployed_ = false;
     bool stopped_ = false;
     bool measuring_ = false;
     bool cycling_ = false; ///< the thread is inside the serve cycle

@@ -5,7 +5,8 @@
 #                  static pass (every zoo model at all precisions on
 #                  every board, plus the shipped example configs; any
 #                  error-severity finding fails CI) and the detlint
-#                  determinism lint over src/
+#                  determinism lint over src/; sub-passes 1c-1h
+#                  are described below
 #   2. sanitized - ASan+UBSan (-Werror) build + full suite + the
 #                  simcheck determinism replay
 #   3. tidy      - clang-tidy over src/, tools/ and tests/ (skipped
@@ -47,6 +48,18 @@
 # access to a JETSIM_GUARDED_BY field a hard compile error; without
 # clang the build step is skipped with a warning (the jetrace audit
 # above still enforces the same contracts structurally).
+#
+# Pass 1g is the hot-path discipline gate (jethot): the analyzer must
+# find its own seeded violations, then src/ must audit clean with
+# every runtime heap-fallback site covered by a ledgered escape.
+#
+# Pass 1h is the benchmark selftest (jetbench/run.py --selftest): every
+# benchmark workload at minimal length, built from this checkout, must
+# reproduce the combined result digests recorded in
+# jetbench/digests.json and pass the harness's own checks, so a change
+# to a result digest fails CI before any benchmark comparison runs.
+# It takes about a minute on a 4-core host and builds into
+# $CARGO_TARGET_DIR (default .bench_build/).
 #
 # Usage: tools/ci.sh [--tsan] [--skip-plain] [--skip-sanitized]
 #                    [--skip-tidy]
@@ -227,6 +240,11 @@ print(f"jethot: src clean; {len(doc['roots'])} hot roots, "
       f"{len(doc['cold_ok'])} sanctioned cold escapes, "
       f"{len(sites)}/{len(sites)} heap-fallback sites covered")
 EOF
+
+    banner "pass 1h: benchmark selftest (jetbench)"
+    # Result digests (jetbench/digests.json) and the harness's own
+    # checks, on every workload at minimal length.
+    (cd "$repo" && python3 jetbench/run.py --selftest)
 fi
 
 if [ "$run_san" = 1 ]; then
