@@ -1,6 +1,5 @@
 #include "core/fleet.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -121,12 +120,7 @@ struct Balancer
     void
     scheduleNext()
     {
-        const double mean_ns = 1e9 / rate;
-        double u = rng.uniform();
-        if (u < 1e-12)
-            u = 1e-12;
-        const auto gap =
-            static_cast<sim::Tick>(-mean_ns * std::log(u)) + 1;
+        const sim::Tick gap = workload::poissonGap(rng, rate);
         eq.scheduleIn(gap, [this] { onArrival(); });
     }
 

@@ -125,7 +125,7 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
     body_ns = std::max(
         body_ns, static_cast<double>(g.min_kernel_latency) / freq_frac);
     if (rng)
-        body_ns *= std::clamp(rng->lognormal(1.0, 0.05), kJitterLo,
+        body_ns *= std::clamp(rng->lognormalBounded(1.0, 0.05), kJitterLo,
                               kJitterHi);
     body_ns = std::min(body_ns, kMaxBodyNs);
 

@@ -46,8 +46,9 @@ class KernelCostModel
     static constexpr sim::Tick kKernelOverhead = sim::usec(3);
 
     /**
-     * Execution-time jitter envelope: the lognormal(1.0, 0.05) body
-     * factor is clamped into [kJitterLo, kJitterHi]. The upper clamp
+     * Execution-time jitter envelope: the lognormalBounded(1.0, 0.05)
+     * body factor (its own x8 band sits at 41 sigma, past any normal
+     * draw) is clamped into [kJitterLo, kJitterHi]. The upper clamp
      * binds with probability < 1e-15 per draw (8 sigma at cv 0.05),
      * so observed timing is unchanged — but every kernel body is now
      * *provably* inside [kJitterLo, kJitterHi] x the deterministic

@@ -106,20 +106,14 @@ Rng::normal(double mean, double stddev)
 }
 
 double
-Rng::lognormal(double mean, double cv)
+Rng::lognormalBounded(double mean, double cv)
 {
     JETSIM_ASSERT(mean > 0.0 && cv >= 0.0);
     if (cv == 0.0)
         return mean;
     const double sigma2 = std::log(1.0 + cv * cv);
     const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * normal());
-}
-
-double
-Rng::lognormalBounded(double mean, double cv)
-{
-    const double v = lognormal(mean, cv);
+    const double v = std::exp(mu + std::sqrt(sigma2) * normal());
     const double lo = mean / kLognormalEnvelope;
     const double hi = mean * kLognormalEnvelope;
     return v < lo ? lo : (v > hi ? hi : v);

@@ -61,14 +61,10 @@ class Rng
     /**
      * Log-normal variate parameterised by the *target* mean and the
      * coefficient of variation of the resulting distribution — the
-     * natural parameterisation for latency jitter.
-     */
-    double lognormal(double mean, double cv);
-
-    /**
-     * lognormal() clamped to the kLognormalEnvelope band around the
-     * mean. All latency-jitter draws in the simulator use this form
-     * so worst cases are boundable (see src/absint).
+     * natural parameterisation for latency jitter — clamped to the
+     * kLognormalEnvelope band around the mean. This is the only
+     * lognormal draw, so every latency-jitter draw in the simulator
+     * has a boundable worst case (see src/absint).
      */
     double lognormalBounded(double mean, double cv);
 

@@ -5,12 +5,13 @@
  * A process runs a shared engine built for its precision/batch and
  * owns an ExecutionContext, a CUDA stream, an enqueue thread on the
  * big CPU cluster, and its device memory (CUDA runtime overhead +
- * engine footprint; see workload/deployment.hh). The run loop
- * follows trtexec's discipline: one batch is pre-enqueued so the GPU
- * never idles on host-side preprocessing — the paper notes this makes
- * measured throughput an upper bound, and ablation A1 quantifies it.
+ * engine footprint; see workload/deployment.hh). It is the closed
+ * kind of the EC loop (workload/ec_loop.hh): a next batch is always
+ * ready, and one batch is pre-enqueued so the GPU never idles on
+ * host-side preprocessing — the paper notes this makes measured
+ * throughput an upper bound, and ablation A1 quantifies it.
  *
- * Loop (steady state, pre_enqueue = 1):
+ * Steady state (pre_enqueue = 1):
  *   GPU executes EC_i while EC_{i+1} sits in the stream; when EC_i
  *   completes, the thread wakes (sync return, paying B_l), performs
  *   host prep, and enqueues EC_{i+2}.
@@ -19,17 +20,13 @@
 #ifndef JETSIM_WORKLOAD_INFERENCE_PROCESS_HH
 #define JETSIM_WORKLOAD_INFERENCE_PROCESS_HH
 
-#include <deque>
-#include <memory>
 #include <string>
 
-#include "cpu/scheduler.hh"
 #include "graph/network.hh"
 #include "prof/cdf.hh"
 #include "sim/stats.hh"
 #include "trt/builder.hh"
-#include "trt/execution_context.hh"
-#include "workload/deployment.hh"
+#include "workload/ec_loop.hh"
 
 namespace jetsim::workload {
 
@@ -66,7 +63,7 @@ struct ProcessConfig
 };
 
 /** A deployed, running inference process. */
-class InferenceProcess
+class InferenceProcess : public EcLoop<ProcessConfig>
 {
   public:
     /** A process on @p engine, which must have been built for
@@ -81,33 +78,20 @@ class InferenceProcess
                      gpu::GpuEngine &gpu, const graph::Network &net,
                      const ProcessConfig &cfg);
 
-    InferenceProcess(const InferenceProcess &) = delete;
-    InferenceProcess &operator=(const InferenceProcess &) = delete;
-
-    /**
-     * Pin device memory and create the stream and context.
-     * @return false when unified memory cannot hold the deployment
-     *         (the paper's Nano FCN_ResNet50 x4 failure mode).
-     */
-    bool deploy();
-
-    bool deployed() const { return dep_ != nullptr; }
-
     /** Begin the inference loop (after deploy()). */
     void start();
 
-    /** Let in-flight ECs finish but enqueue no new ones. */
+    /**
+     * Prep no new ECs (one whose host prep is already running is
+     * still enqueued). ECs in flight still finish and are synced one
+     * by one, as after max_ecs, so the thread ends idle with an empty
+     * pipeline.
+     */
     void stopEnqueue() { stopped_ = true; }
-
-    /** Zero all measurement state (end of warm-up). */
-    void beginMeasurement();
-
-    /** Freeze the measurement window. */
-    void endMeasurement();
 
     /** @name Results (valid after endMeasurement)
      * @{ */
-    double throughput() const; ///< images/s over the window
+    double throughput() const { return perSecond(images_); } ///< images/s
     std::uint64_t imagesCompleted() const { return images_; }
     std::uint64_t ecsCompleted() const { return ecs_; }
     /** Lifetime ECs enqueued (not reset by beginMeasurement). */
@@ -128,51 +112,14 @@ class InferenceProcess
     const prof::Cdf &latencyCdf() const { return latency_cdf_; }
     /** @} */
 
-    const trt::Engine &engine() const { return *engine_; }
-    const cpu::Thread &thread() const { return *thread_; }
-    const ProcessConfig &config() const { return cfg_; }
-
-    /** Device bytes pinned (runtime overhead + engine footprint). */
-    sim::Bytes deviceBytes() const;
-
   private:
-    /** One in-flight EC's bookkeeping. */
-    struct Slot
-    {
-        bool gpu_done = false;
-        trt::EcRecord rec;
-    };
-
-    bool launchBoundReached() const
-    {
-        return cfg_.max_ecs != 0 && launched_ >= cfg_.max_ecs;
-    }
-
-    void prepAndEnqueue();
-    void enqueueOne();
-    void afterEnqueue();
-    void syncFront();
-    void spinWait();
-    void syncReturn(sim::Tick sync_begin);
-    void recordEc(const trt::EcRecord &rec);
-
-    soc::Board &board_;
-    gpu::GpuEngine &gpu_;
-    ProcessConfig cfg_;
-    sim::Rng rng_;
-
-    cpu::Thread *thread_;
-    trt::SharedEngine engine_;
-    std::unique_ptr<Deployment> dep_; ///< null until deployed
+    bool hasNext() const override;
+    void fill(Slot &slot) override;
+    void onGpuDone(const Slot &slot) override;
+    void onSyncReturn(const Slot &slot, sim::Tick sync_begin) override;
+    void resetStats() override;
 
     bool stopped_ = false;
-    bool measuring_ = false;
-    std::deque<std::shared_ptr<Slot>> pending_;
-    std::shared_ptr<Slot> waiting_on_;
-    sim::Tick sync_begin_ = 0;
-
-    sim::Tick window_start_ = 0;
-    sim::Tick window_end_ = 0;
     sim::Tick last_ec_done_ = sim::kTickInvalid;
     std::uint64_t images_ = 0;
     std::uint64_t ecs_ = 0;

@@ -10,26 +10,26 @@
  * as real fixed-shape TensorRT engines do), and per-request latency
  * from arrival to GPU completion.
  *
- * Together with the closed-loop InferenceProcess this spans both
- * operating points the paper's intro cares about: the offline
- * capacity bound and the online latency curve a capacity planner
- * actually needs.
+ * It is the open kind of the EC loop (workload/ec_loop.hh): the loop
+ * has a next EC while requests are queued, goes idle when the queue
+ * and the pipeline are empty, and an arrival kicks it back into
+ * motion. With a queue that never empties it is the closed loop of
+ * InferenceProcess, so together the two span both operating points
+ * the paper's intro cares about: the offline capacity bound and the
+ * online latency curve a capacity planner actually needs.
  */
 
 #ifndef JETSIM_WORKLOAD_SERVING_PROCESS_HH
 #define JETSIM_WORKLOAD_SERVING_PROCESS_HH
 
 #include <deque>
-#include <memory>
 #include <string>
 
-#include "cpu/scheduler.hh"
 #include "graph/network.hh"
 #include "prof/cdf.hh"
 #include "sim/rng.hh"
 #include "trt/builder.hh"
-#include "trt/execution_context.hh"
-#include "workload/deployment.hh"
+#include "workload/ec_loop.hh"
 
 namespace jetsim::workload {
 
@@ -51,8 +51,14 @@ struct ServingConfig
     sim::Tick spin_chunk = sim::usec(150);
 };
 
+/**
+ * Gap to the next event of a Poisson process of @p rate events/s:
+ * one uniform draw from @p rng, exponential, at least 1 ns.
+ */
+sim::Tick poissonGap(sim::Rng &rng, double rate);
+
 /** One inference server on a board. */
-class ServingProcess
+class ServingProcess : public EcLoop<ServingConfig>
 {
   public:
     /** A server on @p engine, which must have been built for
@@ -66,15 +72,6 @@ class ServingProcess
     ServingProcess(soc::Board &board, cpu::OsScheduler &sched,
                    gpu::GpuEngine &gpu, const graph::Network &net,
                    const ServingConfig &cfg);
-
-    ServingProcess(const ServingProcess &) = delete;
-    ServingProcess &operator=(const ServingProcess &) = delete;
-
-    /** Pin device memory and create the stream and context; false
-     * on OOM. */
-    bool deploy();
-
-    bool deployed() const { return dep_ != nullptr; }
 
     /** Begin arrivals and the serving loop. */
     void start();
@@ -91,16 +88,10 @@ class ServingProcess
     /** Stop generating arrivals (in-flight work drains). */
     void stopArrivals() { stopped_ = true; }
 
-    /** Zero measurement state (end of warm-up). */
-    void beginMeasurement();
-
-    /** Freeze the measurement window. */
-    void endMeasurement();
-
     /** @name Results
      * @{ */
     /** Served images/s over the window. */
-    double achievedThroughput() const;
+    double achievedThroughput() const { return perSecond(served_); }
     double offeredLoad() const { return cfg_.arrival_rate; }
     /** Per-request latency samples (arrival to completion, ns). */
     const prof::Cdf &requestLatency() const { return latency_; }
@@ -110,44 +101,23 @@ class ServingProcess
     std::size_t maxQueueDepth() const { return max_queue_; }
     /** @} */
 
-    const trt::Engine &engine() const { return *engine_; }
-
   private:
-    struct Slot
-    {
-        bool gpu_done = false;
-        std::vector<sim::Tick> arrivals; ///< requests in this EC
-    };
-
     void scheduleArrival();
     void onArrival();
-    void kick();
-    void prepAndEnqueue();
-    void enqueueOne();
-    void afterEnqueue();
-    void syncFront();
-    void spinWait();
-    void syncReturn();
+    /** Queue a request that entered the system at @p origin. */
+    void admit(sim::Tick origin);
 
-    soc::Board &board_;
-    gpu::GpuEngine &gpu_;
-    ServingConfig cfg_;
-    sim::Rng rng_;
-
-    cpu::Thread *thread_;
-    trt::SharedEngine engine_;
-    std::unique_ptr<Deployment> dep_; ///< null until deployed
+    bool hasNext() const override { return !queue_.empty(); }
+    void fill(Slot &slot) override;
+    void onGpuDone(const Slot &slot) override;
+    void resetStats() override;
 
     bool stopped_ = false;
-    bool measuring_ = false;
-    bool cycling_ = false; ///< the thread is inside the serve cycle
-
     std::deque<sim::Tick> queue_; ///< pending request arrival times
-    std::deque<std::shared_ptr<Slot>> pending_;
-    std::shared_ptr<Slot> waiting_on_;
+    /** Arrival times of the requests in flight, oldest first: ECs on
+     * one stream complete in submission order. */
+    std::deque<sim::Tick> in_flight_;
 
-    sim::Tick window_start_ = 0;
-    sim::Tick window_end_ = 0;
     std::uint64_t served_ = 0;
     std::uint64_t arrived_ = 0;
     std::size_t max_queue_ = 0;

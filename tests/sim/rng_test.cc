@@ -84,21 +84,21 @@ TEST(Rng, LognormalMatchesTargetMean)
     double sum = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        sum += r.lognormal(6.0, 0.35);
+        sum += r.lognormalBounded(6.0, 0.35);
     EXPECT_NEAR(sum / n, 6.0, 0.1);
 }
 
 TEST(Rng, LognormalZeroCvIsDeterministic)
 {
     Rng r(1);
-    EXPECT_DOUBLE_EQ(r.lognormal(5.0, 0.0), 5.0);
+    EXPECT_DOUBLE_EQ(r.lognormalBounded(5.0, 0.0), 5.0);
 }
 
 TEST(Rng, LognormalIsPositive)
 {
     Rng r(3);
     for (int i = 0; i < 10000; ++i)
-        EXPECT_GT(r.lognormal(10.0, 1.0), 0.0);
+        EXPECT_GT(r.lognormalBounded(10.0, 1.0), 0.0);
 }
 
 TEST(Rng, ChanceRespectsProbability)

@@ -126,5 +126,41 @@ TEST(ArgParse, BooleanSpellings)
     EXPECT_FALSE(p.boolean("verbose"));
 }
 
+TEST(ArgParse, NumericFlagsAcceptWholeNumbersOnly)
+{
+    auto p = parser();
+    ASSERT_TRUE(parse(p, std::array<const char *, 4>{
+                             "test", "--batch=-3", "--rate=1e-3",
+                             "--list=8"}));
+    EXPECT_EQ(p.intval("batch"), -3);
+    EXPECT_DOUBLE_EQ(p.dbl("rate"), 1e-3);
+    EXPECT_EQ(p.intlist("list"), (std::vector<int>{8}));
+}
+
+TEST(ArgParse, NonIntegerIntFlagExits2)
+{
+    // "0.1" for a millisecond flag used to read as 0 through atoi.
+    for (const char *v : {"0.1", "abc", "", "4x", "99999999999"}) {
+        auto p = parser();
+        const std::string flag = std::string("--batch=") + v;
+        ASSERT_TRUE(parse(p, std::array<const char *, 2>{
+                                 "test", flag.c_str()}));
+        EXPECT_EXIT(p.intval("batch"), ::testing::ExitedWithCode(2),
+                    "--batch wants an integer")
+            << v;
+    }
+}
+
+TEST(ArgParse, BadListElementOrDoubleExits2)
+{
+    auto p = parser();
+    ASSERT_TRUE(parse(p, std::array<const char *, 3>{
+                             "test", "--list=1,two,4", "--rate=2.5s"}));
+    EXPECT_EXIT(p.intlist("list"), ::testing::ExitedWithCode(2),
+                "--list wants an integer, got 'two'");
+    EXPECT_EXIT(p.dbl("rate"), ::testing::ExitedWithCode(2),
+                "--rate wants a number");
+}
+
 } // namespace
 } // namespace jetsim::tools

@@ -163,6 +163,32 @@ TEST(Process, StopEnqueueDrainsQuietly)
     EXPECT_FALSE(r.board.activity().gpu_busy);
 }
 
+TEST(Process, StopEnqueueSyncsTheInFlightTail)
+{
+    // After stopEnqueue() no EC is enqueued, but every EC already in
+    // flight is still synced (the max_ecs rule): measured from the
+    // first EC, each launched EC completes and pays one sync return.
+    for (const bool spin : {true, false}) {
+        Rig r;
+        ProcessConfig cfg;
+        cfg.spin_wait = spin;
+        auto p = r.makeProcess(std::move(cfg));
+        ASSERT_TRUE(p->deploy());
+        p->beginMeasurement();
+        p->start();
+        r.eq.runUntil(sim::msec(200));
+        p->stopEnqueue();
+        const auto launched = p->ecsLaunched();
+        r.eq.runUntil(r.eq.now() + sim::msec(100));
+        p->endMeasurement();
+        EXPECT_LE(p->ecsLaunched(), launched + 1) << spin; // prep in progress
+        EXPECT_EQ(p->ecsCompleted(), p->ecsLaunched()) << spin;
+        EXPECT_EQ(p->syncSpan().count(), p->ecsCompleted()) << spin;
+        EXPECT_EQ(p->blockedTime().count(), p->ecsCompleted()) << spin;
+        EXPECT_FALSE(r.board.activity().gpu_busy) << spin;
+    }
+}
+
 TEST(Process, RecordsKernelLevelMetrics)
 {
     Rig r;

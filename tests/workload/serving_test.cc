@@ -10,6 +10,7 @@
 
 #include "gpu/engine.hh"
 #include "models/zoo.hh"
+#include "workload/inference_process.hh"
 #include "sim/event_queue.hh"
 
 namespace jetsim::workload {
@@ -88,6 +89,47 @@ TEST(Serving, OverloadSaturatesAtCapacity)
     EXPECT_GT(p->achievedThroughput(), 150.0);
     // The backlog grows without bound.
     EXPECT_GT(p->maxQueueDepth(), 100u);
+}
+
+TEST(Serving, SaturatedServerMatchesClosedLoopCapacity)
+{
+    // The closed loop is the open loop with a queue that never
+    // empties: a server offered far more than it can serve runs at
+    // the trtexec process's throughput on the same engine, depth and
+    // sync mode.
+    for (const bool spin : {false, true}) {
+        Rig rs;
+        ServingConfig scfg;
+        scfg.name = "srv";
+        scfg.build.precision = soc::Precision::Int8;
+        scfg.arrival_rate = 20000.0;
+        scfg.spin_wait = spin;
+        ServingProcess srv(rs.board, rs.sched, rs.gpu, rs.net, scfg);
+        ASSERT_TRUE(srv.deploy());
+        rs.measure(srv, sim::msec(400), sim::sec(2));
+
+        Rig rp;
+        ProcessConfig pcfg;
+        pcfg.build = scfg.build;
+        pcfg.pre_enqueue = scfg.pre_enqueue;
+        pcfg.prep_cost = scfg.prep_cost;
+        pcfg.spin_wait = scfg.spin_wait;
+        pcfg.spin_chunk = scfg.spin_chunk;
+        InferenceProcess proc(rp.board, rp.sched, rp.gpu, rp.net, pcfg);
+        ASSERT_TRUE(proc.deploy());
+        proc.start();
+        rp.eq.runUntil(sim::msec(400));
+        proc.beginMeasurement();
+        rp.eq.runUntil(rp.eq.now() + sim::sec(2));
+        proc.endMeasurement();
+        proc.stopEnqueue();
+
+        EXPECT_GT(srv.maxQueueDepth(), 1000u) << spin; // saturated
+        EXPECT_GT(proc.throughput(), 150.0) << spin;
+        EXPECT_NEAR(srv.achievedThroughput(), proc.throughput(),
+                    0.03 * proc.throughput())
+            << spin;
+    }
 }
 
 TEST(Serving, LatencyGrowsWithOfferedLoad)

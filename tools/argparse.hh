@@ -3,12 +3,16 @@
  * Minimal command-line flag parser for the jetsim tools.
  *
  * Supports `--flag=value`, `--flag value` and boolean `--flag`
- * switches, with typed accessors, defaults, and generated help.
+ * switches, with typed accessors, defaults, and generated help. The
+ * numeric accessors are strict: a value that is not entirely a
+ * number prints the flag and exits 2.
  */
 
 #ifndef JETSIM_TOOLS_ARGPARSE_HH
 #define JETSIM_TOOLS_ARGPARSE_HH
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -92,16 +96,24 @@ class ArgParser
         return defaults_.at(name);
     }
 
+    /** Integer value; anything but a whole integer exits 2. */
     int
     intval(const std::string &name) const
     {
-        return std::atoi(str(name).c_str());
+        return toInt(name, str(name));
     }
 
+    /** Floating-point value; anything but one whole number exits 2. */
     double
     dbl(const std::string &name) const
     {
-        return std::atof(str(name).c_str());
+        const std::string v = str(name);
+        char *end = nullptr;
+        errno = 0;
+        const double d = std::strtod(v.c_str(), &end);
+        if (v.empty() || *end != '\0' || errno == ERANGE)
+            bad(name, v, "a number");
+        return d;
     }
 
     bool
@@ -122,7 +134,7 @@ class ArgParser
             const auto comma = v.find(',', pos);
             const auto end =
                 comma == std::string::npos ? v.size() : comma;
-            out.push_back(std::atoi(v.substr(pos, end - pos).c_str()));
+            out.push_back(toInt(name, v.substr(pos, end - pos)));
             pos = end + 1;
         }
         return out;
@@ -146,6 +158,27 @@ class ArgParser
     }
 
   private:
+    int
+    toInt(const std::string &name, const std::string &v) const
+    {
+        char *end = nullptr;
+        errno = 0;
+        const long n = std::strtol(v.c_str(), &end, 10);
+        if (v.empty() || *end != '\0' || errno == ERANGE ||
+            n < INT_MIN || n > INT_MAX)
+            bad(name, v, "an integer");
+        return static_cast<int>(n);
+    }
+
+    [[noreturn]] void
+    bad(const std::string &name, const std::string &v,
+        const char *want) const
+    {
+        std::fprintf(stderr, "%s: --%s wants %s, got '%s'\n",
+                     program_.c_str(), name.c_str(), want, v.c_str());
+        std::exit(2);
+    }
+
     std::string program_;
     std::string description_;
     std::vector<std::string> order_;

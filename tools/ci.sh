@@ -253,7 +253,7 @@ if [ "$run_san" = 1 ]; then
         -DJETSIM_SANITIZE="$san_flavor"
     banner "pass 2b: determinism replay (simcheck, parallel path)"
     "$repo/build-ci/$san_flavor/tools/simcheck" \
-        --duration 0.3 --warmup 0.1 --seeds 1,2,3 --threads 4
+        --duration 0.3 --warmup 100 --seeds 1,2,3 --threads 4
     banner "pass 2c: runner concurrency stress ($san_flavor)"
     # ctest already ran this binary once; run it again explicitly
     # with the pool oversubscribed well past the host core count so
