@@ -11,12 +11,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
 
 #include "core/bottleneck.hh"
+#include "core/env.hh"
 #include "core/profiler.hh"
 #include "core/runner.hh"
 #include "core/sweep.hh"
@@ -95,7 +95,7 @@ runParallelMixed(const std::vector<core::MixedExperimentSpec> &specs)
 inline void
 applyBenchTiming(core::ExperimentSpec &spec)
 {
-    const bool quick = std::getenv("JETSIM_QUICK") != nullptr;
+    const bool quick = core::env().quick;
     spec.warmup = sim::msec(quick ? 150 : 300);
     spec.duration = quick ? sim::msec(500) : sim::sec(2);
 }

@@ -22,8 +22,7 @@ runMix(std::vector<core::WorkloadSpec> workloads, bool spatial)
     s.workloads = std::move(workloads);
     s.spatial_sharing = spatial;
     s.warmup = sim::msec(300);
-    s.duration = std::getenv("JETSIM_QUICK") ? sim::msec(500)
-                                             : sim::sec(2);
+    s.duration = core::env().quick ? sim::msec(500) : sim::sec(2);
     std::fprintf(stderr, "  running %s\n", s.label().c_str());
     return core::runMixedExperiment(s);
 }

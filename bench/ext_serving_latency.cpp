@@ -51,9 +51,7 @@ run(const std::string &device, double rate)
     p.start();
     eq.runUntil(sim::msec(500));
     p.beginMeasurement();
-    const sim::Tick dur = std::getenv("JETSIM_QUICK")
-                              ? sim::sec(1)
-                              : sim::sec(4);
+    const sim::Tick dur = core::env().quick ? sim::sec(1) : sim::sec(4);
     eq.runUntil(eq.now() + dur);
     p.endMeasurement();
     p.stopArrivals();

@@ -9,7 +9,8 @@
  * captured into an immutable snapshot on first use (a magic static,
  * so initialisation is thread-safe by construction) and all
  * consumers — check::Reporter's mode, core::Runner's thread count
- * and cache directory — read the cached copy. After startup no
+ * and cache directory, the benches' quick mode — read the cached
+ * copy. After startup no
  * simulation or worker path ever touches the environment.
  *
  * Tests that mutate JETSIM_* via setenv() must call reloadEnv()
@@ -33,6 +34,7 @@ struct Env
     std::string check_mode; ///< JETSIM_CHECK_MODE (abort|log|count)
     std::string threads;    ///< JETSIM_THREADS (worker-count override)
     std::string cache_dir;  ///< JETSIM_CACHE_DIR (result-cache root)
+    bool quick = false;     ///< JETSIM_QUICK set: benches run short windows
 };
 
 namespace detail {
@@ -40,17 +42,21 @@ namespace detail {
 inline Env
 readEnv()
 {
-    auto get = [](const char *name) -> std::string {
+    auto raw = [](const char *name) {
         // The single sanctioned environment read: startup (or an
         // explicitly quiescent reloadEnv()), never a worker path.
         // NOLINTNEXTLINE(concurrency-mt-unsafe) detlint: allow(getenv)
-        const char *v = std::getenv(name);
+        return std::getenv(name);
+    };
+    auto get = [&raw](const char *name) -> std::string {
+        const char *v = raw(name);
         return v ? v : "";
     };
     Env e;
     e.check_mode = get("JETSIM_CHECK_MODE");
     e.threads = get("JETSIM_THREADS");
     e.cache_dir = get("JETSIM_CACHE_DIR");
+    e.quick = raw("JETSIM_QUICK") != nullptr;
     return e;
 }
 

@@ -120,8 +120,8 @@ struct Balancer
     void
     scheduleNext()
     {
-        const sim::Tick gap = workload::poissonGap(rng, rate);
-        eq.scheduleIn(gap, [this] { onArrival(); });
+        eq.scheduleIn(workload::poissonGap(rng, rate),
+                      [this] { onArrival(); });
     }
 
     void

@@ -19,7 +19,7 @@ Thread::exec(sim::Tick work, sim::InlineFn done)
     if (done.onHeap())
         JETSIM_COLD_OK("SBO miss: work-item capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
         sched_.eq().noteSboMiss();
-    JETSIM_COLD_OK("amortized: per-thread work deque, steady-state depth bounded by queued items")
+    JETSIM_COLD_OK("amortized: per-thread work ring reuses its storage, grows only past its deepest queue so far")
     queue_.push_back(WorkItem{work, std::move(done)});
     if (state_ == State::Idle)
         sched_.makeRunnable(this);

@@ -68,7 +68,7 @@ GpuEngine::submit(int channel, const KernelDesc *k, Callback done)
     if (done.onHeap())
         JETSIM_COLD_OK("SBO miss: completion capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
         eq_.noteSboMiss();
-    JETSIM_COLD_OK("amortized: per-channel deque, steady-state depth bounded by inflight kernels")
+    JETSIM_COLD_OK("amortized: per-channel ring reuses its storage, grows only past its deepest queue so far")
     ch.queue.push_back(Queued{k, std::move(done), eq_.now()});
     ch.peak_depth = std::max(ch.peak_depth, channelDepth(channel));
 
@@ -248,15 +248,24 @@ GpuEngine::finishMux()
                  inflight_rec_.channel);
     ++kernels_executed_;
     busy_ = false;
-    // Move the in-flight state out first: the completion may submit,
-    // which starts the next kernel and overwrites the members.
-    const KernelRecord rec = inflight_rec_;
+    // Take the completion out first: it may submit, which starts the
+    // next kernel and overwrites the in-flight members.
+    const int channel = inflight_rec_.channel;
     Callback done = std::move(inflight_done_);
     inflight_done_ = nullptr;
-    board_.setGpuState(false, 0, 0, 0, 0);
-    if (channels_[rec.channel].alive) {
+    // No idle publish here: the scheduleNext() below (or the one a
+    // submit from `done` runs first) publishes the GPU's next state
+    // at this same tick, either the picked kernel or idle through
+    // publishIdleIfQuiet(). An idle state set now would last zero
+    // ticks, and TimeWeighted::set adds level x 0 for it, so no
+    // busy, power or utilisation integral moves. Nsight, JStats and
+    // the DVFS governor sample the board only from their own events,
+    // never from inside this callback, so no sample or DVFS decision
+    // can see the difference either (the goldens and jetbench
+    // digests are unchanged).
+    if (channels_[channel].alive) {
         if (trace_)
-            trace_(rec);
+            trace_(inflight_rec_); // before done(), which may overwrite it
         if (done)
             done(); // may submit; submit() calls scheduleNext itself
     }

@@ -18,7 +18,6 @@
 #ifndef JETSIM_GPU_ENGINE_HH
 #define JETSIM_GPU_ENGINE_HH
 
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "gpu/cost_model.hh"
 #include "gpu/kernel.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "soc/board.hh"
 
@@ -110,7 +110,7 @@ class GpuEngine
 
   private:
     /** One queued kernel: descriptor, completion, submit tick —
-     * a single deque node instead of two parallel deques. */
+     * one ring slot instead of two parallel queues. */
     struct Queued
     {
         const KernelDesc *desc;
@@ -121,7 +121,7 @@ class GpuEngine
     struct Channel
     {
         std::string name;
-        std::deque<Queued> queue;
+        sim::Ring<Queued> queue;
         bool executing = false; // spatial mode only
         bool alive = true;      // owning stream exists
         std::size_t peak_depth = 0;
@@ -157,9 +157,7 @@ class GpuEngine
     sim::Rng rng_;
     TraceHook trace_;
 
-    // deque: grows without relocation, which a vector would do via
-    // Channel's copy constructor (Queued is move-only).
-    std::deque<Channel> channels_;
+    std::vector<Channel> channels_;
     bool spatial_ = false;
     sim::Tick extra_overhead_ = 0;
 

@@ -105,18 +105,24 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
-double
-Rng::lognormalBounded(double mean, double cv)
+Lognormal::Lognormal(double target_mean, double target_cv)
+    : mean(target_mean), cv(target_cv), mu(0.0), sigma(0.0),
+      lo(target_mean / kLognormalEnvelope),
+      hi(target_mean * kLognormalEnvelope)
 {
     JETSIM_ASSERT(mean > 0.0 && cv >= 0.0);
-    if (cv == 0.0)
-        return mean;
     const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    const double v = std::exp(mu + std::sqrt(sigma2) * normal());
-    const double lo = mean / kLognormalEnvelope;
-    const double hi = mean * kLognormalEnvelope;
-    return v < lo ? lo : (v > hi ? hi : v);
+    mu = std::log(mean) - 0.5 * sigma2;
+    sigma = std::sqrt(sigma2);
+}
+
+double
+Rng::draw(const Lognormal &law)
+{
+    if (law.cv == 0.0)
+        return law.mean;
+    const double v = std::exp(law.mu + law.sigma * normal());
+    return v < law.lo ? law.lo : (v > law.hi ? law.hi : v);
 }
 
 bool

@@ -29,6 +29,28 @@ namespace jetsim::sim {
 inline constexpr double kLognormalEnvelope = 8.0;
 
 /**
+ * A bounded log-normal law parameterised by the *target* mean and the
+ * coefficient of variation of the resulting distribution — the
+ * natural parameterisation for latency jitter. Its draws are clamped
+ * to [mean / kLognormalEnvelope, mean * kLognormalEnvelope].
+ *
+ * Construction does the loop-invariant work once (two logs, a square
+ * root and the clamps), so a law held by its drawing component costs
+ * only the normal variate and one exp per Rng::draw().
+ */
+struct Lognormal
+{
+    Lognormal(double target_mean, double target_cv);
+
+    double mean;
+    double cv;
+    double mu;    ///< log-space mean
+    double sigma; ///< log-space standard deviation
+    double lo;    ///< mean / kLognormalEnvelope
+    double hi;    ///< mean * kLognormalEnvelope
+};
+
+/**
  * Deterministic pseudo-random generator (xoshiro256**).
  *
  * Cheap to copy; each component typically owns a fork()ed child so
@@ -59,14 +81,18 @@ class Rng
     double normal(double mean, double stddev);
 
     /**
-     * Log-normal variate parameterised by the *target* mean and the
-     * coefficient of variation of the resulting distribution — the
-     * natural parameterisation for latency jitter — clamped to the
-     * kLognormalEnvelope band around the mean. This is the only
-     * lognormal draw, so every latency-jitter draw in the simulator
-     * has a boundable worst case (see src/absint).
+     * One variate of @p law, inside its kLognormalEnvelope band. This
+     * is the only lognormal draw, so every latency-jitter draw in the
+     * simulator has a boundable worst case (see src/absint). A cv of
+     * 0 returns the mean and consumes no generator state.
      */
-    double lognormalBounded(double mean, double cv);
+    double draw(const Lognormal &law);
+
+    /** draw(Lognormal(mean, cv)), for one-off draws. */
+    double lognormalBounded(double mean, double cv)
+    {
+        return draw(Lognormal(mean, cv));
+    }
 
     /** Bernoulli trial with probability p of true. */
     bool chance(double p);

@@ -82,7 +82,7 @@ class ExecutionContext
         std::function<void()> cpu_done;
     };
 
-    void launchNext(const std::shared_ptr<Pending> &p, std::size_t i);
+    void launchNext(std::size_t i);
 
     const Engine &engine_;
     cuda::Stream &stream_;
@@ -90,6 +90,15 @@ class ExecutionContext
     soc::Board &board_;
     sim::Rng rng_;
     std::uint64_t invocations_ = 0;
+
+    /** The EC whose launch chain is running. Enqueues are serialised
+     * (see enqueue()), so there is at most one; the chain's per-
+     * kernel work items capture only `this`, the index and a tick. */
+    std::unique_ptr<Pending> launching_;
+
+    /** Launch-API cost law, rebuilt only when its mean
+     * (launch_cpu_cost x launchOverheadFactor()) changes. */
+    sim::Lognormal launch_law_;
 };
 
 } // namespace jetsim::trt

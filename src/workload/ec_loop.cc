@@ -15,7 +15,8 @@ EcLoop<Config>::EcLoop(soc::Board &board, cpu::OsScheduler &sched,
     : board_(board), gpu_(gpu), cfg_(std::move(cfg)),
       rng_(board.rng().fork(std::string(rng_prefix) + cfg_.name)),
       thread_(sched.createThread(cfg_.name, /*big=*/true)),
-      engine_(std::move(engine))
+      engine_(std::move(engine)),
+      prep_law_(static_cast<double>(cfg_.prep_cost), 0.3)
 {
     JETSIM_ASSERT(engine_ && engine_->batch() == cfg_.build.batch &&
                   engine_->requestedPrecision() == cfg_.build.precision);
@@ -47,8 +48,7 @@ EcLoop<Config>::prepAndEnqueue()
 {
     // Bounded draw: prep stays within the sim::kLognormalEnvelope
     // band, which is what src/absint's CPU-side upper bounds assume.
-    const auto prep = static_cast<sim::Tick>(rng_.lognormalBounded(
-        static_cast<double>(cfg_.prep_cost), 0.3));
+    const auto prep = static_cast<sim::Tick>(rng_.draw(prep_law_));
     thread_->exec(prep, [this] { enqueueOne(); });
 }
 

@@ -129,6 +129,9 @@ class EcLoop
     trt::SharedEngine engine_;
     std::unique_ptr<Deployment> dep_; ///< null until deployed
 
+    /** Prep-cost law: bounded lognormal around cfg.prep_cost. */
+    const sim::Lognormal prep_law_;
+
     sim::Tick sync_begin_ = 0; ///< entry of the current sync call
     std::deque<std::shared_ptr<Slot>> pending_;
     std::shared_ptr<Slot> waiting_on_;

@@ -73,6 +73,36 @@ TEST(GpuEngine, BusyWhileExecuting)
     EXPECT_FALSE(r.board.activity().gpu_busy);
 }
 
+TEST(GpuEngine, BackToBackBusyIntegralIsTheSumOfKernelDurations)
+{
+    // Each completion hands the GPU straight to the next kernel at
+    // the same tick, with no idle state published in between: the
+    // busy signal integrates to exactly the kernels' residency and
+    // reads idle once the channel drains.
+    Rig r;
+    const int ch = r.engine.createChannel("p0");
+    std::vector<KernelDesc> ks;
+    for (int i = 0; i < 40; ++i)
+        ks.push_back(kernel(1e7 * (1 + i % 7)));
+    sim::Tick busy = 0;
+    sim::Tick last_end = 0;
+    r.engine.setTraceHook([&](const KernelRecord &rec) {
+        EXPECT_EQ(rec.start, last_end); // back to back
+        busy += rec.end - rec.start;
+        last_end = rec.end;
+    });
+    for (const auto &k : ks)
+        r.engine.submit(ch, &k, nullptr);
+    r.eq.runAll();
+    ASSERT_EQ(r.engine.kernelsExecuted(), ks.size());
+    EXPECT_EQ(r.board.gpuBusyTw().integral(r.eq.now()),
+              static_cast<double>(busy));
+    EXPECT_EQ(r.eq.now(), last_end);
+    EXPECT_FALSE(r.board.activity().gpu_busy);
+    EXPECT_EQ(r.board.gpuBusyTw().level(), 0.0);
+    EXPECT_EQ(r.board.activity().sm_active, 0.0);
+}
+
 TEST(GpuEngine, SingleChannelPaysNoSwitches)
 {
     Rig r;

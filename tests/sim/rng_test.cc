@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace jetsim::sim {
 namespace {
@@ -99,6 +101,50 @@ TEST(Rng, LognormalIsPositive)
     Rng r(3);
     for (int i = 0; i < 10000; ++i)
         EXPECT_GT(r.lognormalBounded(10.0, 1.0), 0.0);
+}
+
+/** The per-call formula draw() replaced: logs, root and clamps
+ * recomputed on every draw. */
+double
+perCallLognormal(Rng &r, double mean, double cv)
+{
+    if (cv == 0.0)
+        return mean;
+    const double sigma2 = std::log(1.0 + cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    const double v = std::exp(mu + std::sqrt(sigma2) * r.normal());
+    const double lo = mean / kLognormalEnvelope;
+    const double hi = mean * kLognormalEnvelope;
+    return v < lo ? lo : (v > hi ? hi : v);
+}
+
+TEST(Rng, DrawOfPrecomputedLawIsBitwiseThePerCallDraw)
+{
+    for (const double mean : {1e-3, 0.5, 1.0, 3.7, 450e3, 2.5e9}) {
+        for (const double cv : {0.0, 0.05, 0.3, 0.35, 1.0, 2.5}) {
+            const Lognormal law(mean, cv);
+            Rng a(99), b(99), c(99);
+            for (int i = 0; i < 200; ++i) {
+                const double d = a.draw(law);
+                const double w = b.lognormalBounded(mean, cv);
+                const double ref = perCallLognormal(c, mean, cv);
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(d),
+                          std::bit_cast<std::uint64_t>(ref))
+                    << "mean " << mean << " cv " << cv << " draw " << i;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(w),
+                          std::bit_cast<std::uint64_t>(ref));
+            }
+            EXPECT_EQ(a.next(), c.next()); // same state consumed
+        }
+    }
+}
+
+TEST(Rng, ZeroCvDrawConsumesNoState)
+{
+    Rng a(5), b(5);
+    EXPECT_EQ(a.draw(Lognormal(3.0, 0.0)), 3.0);
+    EXPECT_EQ(a.lognormalBounded(7.5, 0.0), 7.5);
+    EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Rng, ChanceRespectsProbability)

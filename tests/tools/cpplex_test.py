@@ -65,6 +65,14 @@ class ClassifyOpenTest(unittest.TestCase):
         sc = cpplex.classify_open("class EventQueue", 1)
         self.assertEqual((sc.kind, sc.name), ("class", "EventQueue"))
 
+    def test_template_class_is_named_after_the_class(self):
+        sc = cpplex.classify_open("template <class T> class Ring", 1)
+        self.assertEqual((sc.kind, sc.name), ("class", "Ring"))
+        sc = cpplex.classify_open(
+            "template <class K, class V = std::pair<K, int>> struct Map",
+            1)
+        self.assertEqual((sc.kind, sc.name), ("class", "Map"))
+
     def test_function_qualified(self):
         sc = cpplex.classify_open("void EventQueue::dispatch(int k)",
                                   1)
@@ -81,6 +89,17 @@ class ClassifyOpenTest(unittest.TestCase):
         self.assertEqual(
             cpplex.classify_open("eq_.schedule(t, [this]", 1).name,
             "<lambda>")
+
+    def test_lambda_argument_after_nested_call(self):
+        # A call whose arguments hold a call and then a lambda stays a
+        # lambda, not a definition of the called function.
+        sc = cpplex.classify_open(
+            "eq.scheduleIn(workload::poissonGap(rng, rate), [this]", 1)
+        self.assertEqual((sc.kind, sc.name), ("function", "<lambda>"))
+        sc = cpplex.classify_open(
+            "std::sort(v.begin(), v.end(), [&](int a, int b)", 1)
+        self.assertEqual((sc.kind, sc.name), ("function", "<lambda>"))
+        self.assertEqual(self.kind("f(g(x), Opts"), "block")
 
     def test_annotation_macros_stripped(self):
         sc = cpplex.classify_open(

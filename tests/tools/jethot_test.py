@@ -167,6 +167,15 @@ class QuietOnIdiomaticTest(AuditMixin, unittest.TestCase):
         """)
         self.assertEqual(findings, [])
 
+    def test_split_call_with_lambda_argument_is_not_a_definition(self):
+        # Regression: `eq.scheduleIn(workload::poissonGap(rng, rate),`
+        # / `[this] { onArrival(); });` once became a phantom
+        # Balancer::scheduleIn that hot `scheduleIn` calls reached.
+        findings, _, an = self.audit_src(
+            JETHOT_MOD.SELFTEST_SPLIT_CALL_LAMBDA)
+        self.assertEqual(findings, [])
+        self.assertNotIn("Balancer::scheduleIn", an.functions)
+
     def test_own_class_member_preferred(self):
         # A::tick() calling helper() resolves to A::helper, not to
         # the identically named allocating B::helper.

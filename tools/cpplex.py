@@ -118,11 +118,29 @@ class Scope:
         self.held_before = held_before  # tool-defined scope payload
 
 
+TEMPLATE_HEAD_RE = re.compile(r"^template\s*<[^<>]*(?:<[^<>]*>[^<>]*)*>\s*")
+
+
+def unclosed_paren(text):
+    """Index of the innermost `(` left open at the end of @p text,
+    or -1 when every `(` is closed."""
+    opens = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opens.append(i)
+        elif ch == ")" and opens:
+            opens.pop()
+    return opens[-1] if opens else -1
+
+
 def classify_open(text, lineno):
     """Classify the declaration text preceding a `{`: namespace,
     class/struct/enum, function (incl. lambdas), or plain block."""
     del lineno  # kept for signature stability across tools
     text = ANNOT_MACRO_RE.sub("", text).strip()
+    # `template <class T> class Ring`: the parameter list's `class T`
+    # is not the class being defined.
+    text = TEMPLATE_HEAD_RE.sub("", text)
     if not text:
         return Scope("block", "")
     m = re.match(r"^(?:inline\s+)?namespace\b\s*([\w:]*)", text)
@@ -134,6 +152,16 @@ def classify_open(text, lineno):
         return Scope("class", m.group(2) or "<anon>")
     if re.search(r"\benum\b", text):
         return Scope("class", "<enum>")
+    open_at = unclosed_paren(text)
+    if open_at >= 0:
+        # The brace opens inside an unclosed argument list, so it is a
+        # lambda argument (`f(g(x), [this] {`) or a braced temporary,
+        # never a definition. Reading the first `name(` here would
+        # turn the call `f` into a phantom definition of `f` that
+        # every `f(...)` call then resolves to.
+        if "]" in text[open_at:]:
+            return Scope("function", "<lambda>")
+        return Scope("block", "")
     if "(" in text and ")" in text:
         first = re.search(r"([\w:~]+)\s*\(", text)
         name = first.group(1) if first else ""

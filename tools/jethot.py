@@ -618,6 +618,33 @@ JETSIM_HOT void casRoot(std::atomic<int> &t)
 }
 """
 
+# A call split over two lines whose arguments hold a qualified call
+# and a lambda (the fleet balancer's arrival loop). The lexer once
+# read `eq.scheduleIn(workload::poissonGap(...), [this] {` as a
+# definition of a phantom `Balancer::scheduleIn`; every `scheduleIn`
+# call from a hot root then resolved to it and reached the growing
+# onArrival. The tree must audit clean with no such record.
+SELFTEST_SPLIT_CALL_LAMBDA = """\
+#include "core/hot_annotations.hh"
+#include <vector>
+namespace workload { long poissonGap(long &rng, double rate); }
+struct EventQueue { void scheduleIn(long delay, int pri); };
+struct Balancer
+{
+    EventQueue &eq;
+    long rng;
+    double rate;
+    std::vector<long> arrivals;
+    void onArrival() { arrivals.push_back(rng); }
+    void scheduleNext()
+    {
+        eq.scheduleIn(workload::poissonGap(rng, rate),
+                      [this] { onArrival(); });
+    }
+};
+JETSIM_HOT void dispatchRoot(EventQueue &eq) { eq.scheduleIn(1, 0); }
+"""
+
 SELFTEST_SBO = """\
 #include "core/hot_annotations.hh"
 struct Q { void noteSboMiss(); };
@@ -683,6 +710,11 @@ def selftest():
         findings, _, _ = run("spin_ok.cc", SELFTEST_SPIN_ALLOWED)
         if any(f["rule"] == "hot-spin" for f in findings):
             fail(f"allow(hot-spin) not honored: {findings}")
+        findings, _, an = run("split_call.cc",
+                              SELFTEST_SPLIT_CALL_LAMBDA)
+        if findings or "Balancer::scheduleIn" in an.functions:
+            fail(f"split call with a lambda argument read as a "
+                 f"definition: {findings}")
         findings, summ, _ = run("sbo.cc", SELFTEST_SBO)
         sbo = [f for f in findings
                if f["rule"] == "unguarded-sbo-fallback"]
@@ -697,7 +729,8 @@ def selftest():
               "each found with a minimised 2-hop chain; CAS spin "
               "flagged and allow()-whitelistable; JETSIM_COLD_OK "
               "and JETSIM_HOT_BOUNDARY stop traversal with the "
-              "escape recorded; uncovered noteSboMiss site flagged, "
+              "escape recorded; a split call with a lambda argument "
+              "stays a call; uncovered noteSboMiss site flagged, "
               "covered site ledgered")
     return ok
 
