@@ -1,11 +1,9 @@
 #include "gpu/cost_model.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "check/check.hh"
-#include "core/hot_annotations.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::gpu {
@@ -21,30 +19,6 @@ constexpr const char *kComponent = "gpu.cost";
  * casting a non-finite double to an integer is UB).
  */
 constexpr double kMaxBodyNs = KernelCostModel::kMaxBodyNsCap;
-
-/** Memo entries reserved at the first fill: every zoo engine (23-68
- * kernels) fits, so a model timing one engine at one DVFS level
- * allocates its memo once. */
-constexpr std::size_t kMemoFirstEntries = 64;
-
-std::uint64_t
-bits(double v)
-{
-    return std::bit_cast<std::uint64_t>(v);
-}
-
-/** Memo slot hash of a (descriptor address, frequency) key. */
-std::size_t
-memoHash(const KernelDesc *k, double freq_frac)
-{
-    // SplitMix64's finaliser over the two mixed keys.
-    std::uint64_t h =
-        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(k)) ^
-        (bits(freq_frac) * 0x9e3779b97f4a7c15ULL);
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(h ^ (h >> 31));
-}
 
 } // namespace
 
@@ -82,85 +56,11 @@ KernelTiming
 KernelCostModel::timing(const KernelDesc &k, double freq_frac,
                         sim::Rng *rng) const
 {
-    // The index slot that holds k's entry, or the empty slot where
-    // its entry goes (null while the memo is empty).
-    std::uint32_t *slot = nullptr;
-    if (!memo_index_.empty()) {
-        const std::size_t mask = memo_index_.size() - 1;
-        std::size_t i = memoHash(&k, freq_frac) & mask;
-        for (; memo_index_[i] != 0; i = (i + 1) & mask) {
-            const MemoEntry &e = memo_[memo_index_[i] - 1];
-            if (e.prepared.desc != &k ||
-                bits(e.freq_frac) != bits(freq_frac))
-                continue;
-            if (inputsMatch(e, k))
-                return finish(e.prepared, rng);
-            break; // mutated in place, or a reused address: recompute
-        }
-        slot = &memo_index_[i];
-    }
-    const Prepared p = prepare(k, freq_frac);
-    if (p.inputs_ok)
-        remember(slot, k, freq_frac, p);
-    return finish(p, rng);
-}
-
-bool
-KernelCostModel::inputsMatch(const MemoEntry &e, const KernelDesc &k)
-{
-    return bits(e.flops) == bits(k.flops) &&
-           bits(e.bytes) == bits(k.bytes) &&
-           bits(e.efficiency_scale) == bits(k.efficiency_scale) &&
-           bits(e.issue_intensity) == bits(k.issue_intensity) &&
-           bits(e.tc_stall_factor) == bits(k.tc_stall_factor) &&
-           e.blocks == k.blocks && e.prec == k.prec && e.tc == k.tc;
-}
-
-JETSIM_COLD_OK("memo fill: once per distinct (kernel, DVFS level) a model times; the dense entries and the index grow geometrically")
-void
-KernelCostModel::remember(std::uint32_t *slot, const KernelDesc &k,
-                          double freq_frac, const Prepared &p) const
-{
-    const MemoEntry e{freq_frac,         k.flops,
-                      k.bytes,           k.efficiency_scale,
-                      k.issue_intensity, k.tc_stall_factor,
-                      k.blocks,          k.prec,
-                      k.tc,              p};
-    if (slot && *slot != 0) { // stale entry: overwrite in place
-        memo_[*slot - 1] = e;
-        return;
-    }
-    if (memo_.size() == kMemoMaxEntries)
-        return;
-    if (memo_.empty())
-        memo_.reserve(kMemoFirstEntries); // one engine's kernels, once
-    memo_.push_back(e);
-    if (slot && 2 * memo_.size() <= memo_index_.size()) {
-        *slot = static_cast<std::uint32_t>(memo_.size());
-        return;
-    }
-    // Keep the index at most half full: rehash every entry at double
-    // size (the first fill allocates it).
-    memo_index_.assign(
-        std::max(2 * kMemoFirstEntries, 2 * memo_index_.size()), 0);
-    const std::size_t mask = memo_index_.size() - 1;
-    for (std::size_t n = 0; n < memo_.size(); ++n) {
-        std::size_t i =
-            memoHash(memo_[n].prepared.desc, memo_[n].freq_frac) & mask;
-        while (memo_index_[i] != 0)
-            i = (i + 1) & mask;
-        memo_index_[i] = static_cast<std::uint32_t>(n + 1);
-    }
-}
-
-KernelCostModel::Prepared
-KernelCostModel::prepare(const KernelDesc &k, double freq_frac) const
-{
     // --- JetSan input validation: a degenerate descriptor or DVFS
     // state must not leak NaN/Inf (or UB) into the timeline.
-    const bool freq_ok =
-        std::isfinite(freq_frac) && freq_frac > 0.0 && freq_frac <= 1.0;
-    JETSIM_CHECK(freq_ok, check::Severity::Error,
+    JETSIM_CHECK(std::isfinite(freq_frac) && freq_frac > 0.0 &&
+                     freq_frac <= 1.0,
+                 check::Severity::Error,
                  check::Invariant::Plausibility, kComponent,
                  check::kTimeUnknown,
                  "frequency fraction %g outside (0, 1] for kernel "
@@ -170,12 +70,11 @@ KernelCostModel::prepare(const KernelDesc &k, double freq_frac) const
         freq_frac = 1e-3;
     freq_frac = std::min(freq_frac, 1.0);
 
-    const bool desc_ok =
-        std::isfinite(k.flops) && k.flops >= 0.0 &&
-        std::isfinite(k.bytes) && k.bytes >= 0.0 &&
-        std::isfinite(k.efficiency_scale) && k.efficiency_scale > 0.0 &&
-        k.blocks >= 1;
-    JETSIM_CHECK(desc_ok, check::Severity::Error,
+    JETSIM_CHECK(std::isfinite(k.flops) && k.flops >= 0.0 &&
+                     std::isfinite(k.bytes) && k.bytes >= 0.0 &&
+                     std::isfinite(k.efficiency_scale) &&
+                     k.efficiency_scale > 0.0 && k.blocks >= 1,
+                 check::Severity::Error,
                  check::Invariant::Plausibility, kComponent,
                  check::kTimeUnknown,
                  "degenerate kernel descriptor '%s' (flops=%g bytes=%g "
@@ -202,57 +101,29 @@ KernelCostModel::prepare(const KernelDesc &k, double freq_frac) const
                  "(base rate 0)",
                  spec_.name.c_str(), k.name.c_str());
 
-    Prepared p;
-    p.desc = &k;
-    p.inputs_ok = freq_ok && desc_ok && base > 0.0;
-
     // Shape-dependent sustained rate, never above ~95 % of peak.
-    p.on_tc = k.tc && g.hasTensorCores() &&
-              k.prec != soc::Precision::Fp32;
-    const double peak = p.on_tc ? g.peakTcGflops(k.prec)
-                                : g.peakCudaGflopsFp32() *
-                                  (k.prec == soc::Precision::Fp16 &&
-                                   g.eff_cuda_gflops_fp16 > 0 ? 2.0 : 1.0);
+    const bool on_tc = k.tc && g.hasTensorCores() &&
+                       k.prec != soc::Precision::Fp32;
+    const double peak = on_tc ? g.peakTcGflops(k.prec)
+                              : g.peakCudaGflopsFp32() *
+                                (k.prec == soc::Precision::Fp16 &&
+                                 g.eff_cuda_gflops_fp16 > 0 ? 2.0 : 1.0);
     const double rate = std::max(
         std::min(std::max(base, 1e-9) * eff_scale, 0.95 * peak) *
             freq_frac,
         1e-9);
 
-    p.compute_ns = flops / rate;
-    p.bytes = bytes;
+    const double compute_ns = flops / rate;
     const double eff_bw =
         std::max(g.mem_bw_gbps * g.mem_efficiency, 1e-9);
     const double mem_ns = bytes / eff_bw;
 
+    double body_ns = std::max(compute_ns, mem_ns);
     // Small kernels hit the device's latency floor (launch tail,
     // DRAM latency, layer dependencies) — the overhead larger batch
     // sizes amortise.
-    p.body_ns = std::max(
-        std::max(p.compute_ns, mem_ns),
-        static_cast<double>(g.min_kernel_latency) / freq_frac);
-
-    // SM-active: average occupied-SM fraction of the wave schedule.
-    const int sms = std::max(1, g.num_sms);
-    const int waves = (blocks + sms - 1) / sms;
-    p.occupancy = static_cast<double>(blocks) /
-                  static_cast<double>(waves * sms);
-
-    // Tensor-core utilisation: TC-busy over elapsed. The efficiency
-    // fold means memory-bound kernels show low TC utilisation even at
-    // high throughput (the paper's int8 inversion).
-    if (p.on_tc)
-        p.tc_busy_ns = k.tc_stall_factor * flops /
-                       std::max(g.peakTcGflops(k.prec) * freq_frac, 1e-9);
-    p.issue_intensity = k.issue_intensity;
-    return p;
-}
-
-KernelTiming
-KernelCostModel::finish(const Prepared &p, sim::Rng *rng) const
-{
-    const auto &g = spec_.gpu;
-
-    double body_ns = p.body_ns;
+    body_ns = std::max(
+        body_ns, static_cast<double>(g.min_kernel_latency) / freq_frac);
     if (rng)
         body_ns *= std::clamp(rng->draw(jitter_), kJitterLo, kJitterHi);
     body_ns = std::min(body_ns, kMaxBodyNs);
@@ -261,21 +132,32 @@ KernelCostModel::finish(const Prepared &p, sim::Rng *rng) const
     t.duration = kKernelOverhead + static_cast<sim::Tick>(body_ns);
 
     const double dur_ns = static_cast<double>(t.duration);
-    t.compute_frac = std::min(1.0, p.compute_ns / dur_ns);
-    t.bw_util = std::min(1.0, (p.bytes / dur_ns) / g.mem_bw_gbps);
+    t.compute_frac = std::min(1.0, compute_ns / dur_ns);
+    t.bw_util = std::min(1.0, (bytes / dur_ns) / g.mem_bw_gbps);
 
-    double occupancy = p.occupancy;
+    // SM-active: average occupied-SM fraction of the wave schedule.
+    const int sms = std::max(1, g.num_sms);
+    const int waves = (blocks + sms - 1) / sms;
+    double occupancy = static_cast<double>(blocks) /
+                       static_cast<double>(waves * sms);
     if (rng)
         occupancy *= rng->uniform(0.96, 1.0);
     t.sm_active = std::clamp(occupancy, 0.05, 1.0);
 
-    if (p.on_tc)
-        t.tc_util = std::min(0.99, p.tc_busy_ns / dur_ns);
+    // Tensor-core utilisation: TC-busy over elapsed. The efficiency
+    // fold means memory-bound kernels show low TC utilisation even at
+    // high throughput (the paper's int8 inversion).
+    if (on_tc) {
+        const double tc_busy_ns =
+            k.tc_stall_factor * flops /
+            std::max(g.peakTcGflops(k.prec) * freq_frac, 1e-9);
+        t.tc_util = std::min(0.99, tc_busy_ns / dur_ns);
+    }
 
     // Issue-slot utilisation: dense scalar issue while compute-bound,
     // sparse while waiting on memory.
     t.issue_slot = std::clamp(
-        p.issue_intensity * t.compute_frac * t.sm_active +
+        k.issue_intensity * t.compute_frac * t.sm_active +
             0.08 * (1.0 - t.compute_frac),
         0.01, 0.85);
 
@@ -290,7 +172,7 @@ KernelCostModel::finish(const Prepared &p, sim::Rng *rng) const
                  check::kTimeUnknown,
                  "non-finite timing escaped the cost model for "
                  "kernel '%s'",
-                 p.desc->name.c_str());
+                 k.name.c_str());
 
     return t;
 }

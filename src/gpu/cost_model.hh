@@ -14,40 +14,13 @@
 #ifndef JETSIM_GPU_COST_MODEL_HH
 #define JETSIM_GPU_COST_MODEL_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "gpu/kernel.hh"
 #include "sim/rng.hh"
 #include "soc/device_spec.hh"
 
 namespace jetsim::gpu {
 
-/**
- * Cost model for one device.
- *
- * A timing is two stages. prepare() is the deterministic roofline of
- * one kernel at one DVFS point: base and sustained rate, compute and
- * memory time, the latency floor, wave occupancy and TC-busy time.
- * finish() adds what varies per launch: the jitter and occupancy
- * draws (in that order), the clamps and the output check. timing()
- * is finish(prepare()) through a memo of prepared rooflines keyed by
- * descriptor address and exact frequency fraction, so a launch of a
- * kernel already seen at the current DVFS level pays only finish().
- *
- * The memo is invisible in results. An entry is used only while the
- * descriptor's cost inputs (flops, bytes, efficiency, blocks,
- * precision, tc, issue intensity, stall factor) and the frequency
- * still equal the stored ones bit for bit, so a descriptor mutated
- * in place, or a new descriptor at a reused address, is recomputed.
- * Only inputs that passed the JetSan input checks are stored, so a
- * degenerate descriptor reports on every call. The memo grows with
- * the distinct (kernel, DVFS level) pairs a model actually times, up
- * to a fixed cap, and is never filled ahead of use.
- *
- * timing() is const but not safe to call concurrently on one model;
- * every GpuEngine owns its own.
- */
+/** Pure-function cost model for one device. */
 class KernelCostModel
 {
   public:
@@ -69,23 +42,11 @@ class KernelCostModel
      */
     double baseRate(const KernelDesc &k) const;
 
-    /** Prepared rooflines held by the memo. */
-    std::size_t memoSize() const { return memo_.size(); }
-
-    /**
-     * Memo size cap. A board times a few engines at its DVFS levels
-     * (68 kernels x 12 levels x 8 engines = 6528 at most in the zoo);
-     * past the cap a timing is computed without being stored, so a
-     * caller sweeping arbitrary frequencies cannot grow the memo
-     * without bound.
-     */
-    static constexpr std::size_t kMemoMaxEntries = 8192;
-
     /** Fixed per-kernel start/teardown overhead. */
     static constexpr sim::Tick kKernelOverhead = sim::usec(3);
 
     /**
-     * Execution-time jitter envelope: the lognormalBounded(1.0, 0.05)
+     * Execution-time jitter envelope: the Lognormal(1.0, 0.05)
      * body factor (its own x8 band sits at 41 sigma, past any normal
      * draw) is clamped into [kJitterLo, kJitterHi]. The upper clamp
      * binds with probability < 1e-15 per draw (8 sigma at cv 0.05),
@@ -101,56 +62,8 @@ class KernelCostModel
     static constexpr double kMaxBodyNsCap = 3.6e12;
 
   private:
-    /** The deterministic part of one kernel's timing at one DVFS
-     * point (see prepare()). */
-    struct Prepared
-    {
-        const KernelDesc *desc = nullptr; ///< for check messages
-        double body_ns = 0.0;    ///< roofline body, latency-floored
-        double compute_ns = 0.0; ///< compute-bound time
-        double bytes = 0.0;      ///< sanitised DRAM traffic
-        double occupancy = 0.0;  ///< average SM occupancy of the waves
-        double tc_busy_ns = 0.0; ///< TC residency (on_tc only)
-        double issue_intensity = 0.0;
-        bool on_tc = false;
-        bool inputs_ok = false;  ///< every input check passed
-    };
-
-    /** Validate @p k and @p freq_frac (JetSan Plausibility) and
-     * compute their deterministic roofline. */
-    Prepared prepare(const KernelDesc &k, double freq_frac) const;
-
-    /** Draw one launch's jitter and occupancy from @p rng (nullptr:
-     * none) over @p p and check the result. */
-    KernelTiming finish(const Prepared &p, sim::Rng *rng) const;
-
-    /** One memoised roofline and the inputs it was computed from. */
-    struct MemoEntry
-    {
-        double freq_frac;
-        double flops;
-        double bytes;
-        double efficiency_scale;
-        double issue_intensity;
-        double tc_stall_factor;
-        int blocks;
-        soc::Precision prec;
-        bool tc;
-        Prepared prepared;
-    };
-
-    static bool inputsMatch(const MemoEntry &e, const KernelDesc &k);
-    void remember(std::uint32_t *slot, const KernelDesc &k,
-                  double freq_frac, const Prepared &p) const;
-
     soc::DeviceSpec spec_;
-    const sim::Lognormal jitter_{1.0, 0.05};
-
-    /** Dense entries plus an open-addressed index over them (entry
-     * number + 1; 0 = empty slot), power-of-two sized, at most half
-     * full. */
-    mutable std::vector<MemoEntry> memo_;
-    mutable std::vector<std::uint32_t> memo_index_;
+    const sim::Lognormal jitter_{1.0, 0.05}; ///< built once per model
 };
 
 } // namespace jetsim::gpu

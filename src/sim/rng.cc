@@ -106,23 +106,23 @@ Rng::normal(double mean, double stddev)
 }
 
 Lognormal::Lognormal(double target_mean, double target_cv)
-    : mean(target_mean), cv(target_cv), mu(0.0), sigma(0.0),
-      lo(target_mean / kLognormalEnvelope),
-      hi(target_mean * kLognormalEnvelope)
+    : mean_(target_mean), cv_(target_cv), mu_(0.0), sigma_(0.0),
+      lo_(target_mean / kLognormalEnvelope),
+      hi_(target_mean * kLognormalEnvelope)
 {
-    JETSIM_ASSERT(mean > 0.0 && cv >= 0.0);
-    const double sigma2 = std::log(1.0 + cv * cv);
-    mu = std::log(mean) - 0.5 * sigma2;
-    sigma = std::sqrt(sigma2);
+    JETSIM_ASSERT(mean_ > 0.0 && cv_ >= 0.0);
+    const double sigma2 = std::log(1.0 + cv_ * cv_);
+    mu_ = std::log(mean_) - 0.5 * sigma2;
+    sigma_ = std::sqrt(sigma2);
 }
 
 double
 Rng::draw(const Lognormal &law)
 {
-    if (law.cv == 0.0)
-        return law.mean;
-    const double v = std::exp(law.mu + law.sigma * normal());
-    return v < law.lo ? law.lo : (v > law.hi ? law.hi : v);
+    if (law.cv_ == 0.0)
+        return law.mean_;
+    const double v = std::exp(law.mu_ + law.sigma_ * normal());
+    return v < law.lo_ ? law.lo_ : (v > law.hi_ ? law.hi_ : v);
 }
 
 bool

@@ -36,18 +36,27 @@ inline constexpr double kLognormalEnvelope = 8.0;
  *
  * Construction does the loop-invariant work once (two logs, a square
  * root and the clamps), so a law held by its drawing component costs
- * only the normal variate and one exp per Rng::draw().
+ * only the normal variate and one exp per Rng::draw(). The derived
+ * parameters are private: a law is replaced whole (by assignment
+ * from a new one), never edited field by field out of step with its
+ * mean and cv.
  */
-struct Lognormal
+class Lognormal
 {
+  public:
     Lognormal(double target_mean, double target_cv);
 
-    double mean;
-    double cv;
-    double mu;    ///< log-space mean
-    double sigma; ///< log-space standard deviation
-    double lo;    ///< mean / kLognormalEnvelope
-    double hi;    ///< mean * kLognormalEnvelope
+    double mean() const { return mean_; }
+
+  private:
+    friend class Rng;
+
+    double mean_;
+    double cv_;
+    double mu_;    ///< log-space mean
+    double sigma_; ///< log-space standard deviation
+    double lo_;    ///< mean / kLognormalEnvelope
+    double hi_;    ///< mean * kLognormalEnvelope
 };
 
 /**

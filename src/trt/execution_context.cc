@@ -68,7 +68,7 @@ ExecutionContext::launchNext(std::size_t i)
 
     const sim::Tick t0 = eq.now();
     const double mean = launchMean(board_);
-    if (mean != launch_law_.mean)
+    if (mean != launch_law_.mean())
         launch_law_ = sim::Lognormal(mean, kLaunchCv);
     // Bounded draw (sim::kLognormalEnvelope): launch-API worst cases
     // are provable, not just unlikely (src/absint).

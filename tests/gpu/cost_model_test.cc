@@ -1,26 +1,12 @@
 /**
  * @file
  * Kernel cost-model tests: roofline behaviour, precision paths,
- * latency floor, the derived utilisation counters, and the memo of
- * prepared rooflines (a hit is bitwise a miss; stale or degenerate
- * inputs are never served from it).
+ * latency floor, and the derived utilisation counters.
  */
 
 #include "gpu/cost_model.hh"
 
 #include <gtest/gtest.h>
-
-#include <bit>
-#include <cmath>
-#include <cstdint>
-#include <functional>
-#include <limits>
-#include <optional>
-#include <vector>
-
-#include "check/reporter.hh"
-#include "models/zoo.hh"
-#include "trt/builder.hh"
 
 namespace jetsim::gpu {
 namespace {
@@ -199,172 +185,6 @@ TEST(CostModel, EfficiencyScaleIsCappedNearPeak)
     const double floor_ns =
         k.flops / (0.95 * spec.gpu.peakTcGflops(k.prec));
     EXPECT_GE(static_cast<double>(t.duration), floor_ns);
-}
-
-// ------------------------------------------------------------- memo
-
-bool
-sameBits(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) ==
-           std::bit_cast<std::uint64_t>(b);
-}
-
-void
-expectSameTiming(const KernelTiming &a, const KernelTiming &b)
-{
-    EXPECT_EQ(a.duration, b.duration);
-    EXPECT_TRUE(sameBits(a.sm_active, b.sm_active));
-    EXPECT_TRUE(sameBits(a.issue_slot, b.issue_slot));
-    EXPECT_TRUE(sameBits(a.tc_util, b.tc_util));
-    EXPECT_TRUE(sameBits(a.bw_util, b.bw_util));
-    EXPECT_TRUE(sameBits(a.compute_frac, b.compute_frac));
-}
-
-/** Every DVFS frequency fraction of @p spec, as the governor's level
- * arithmetic produces them. */
-std::vector<double>
-dvfsFractions(const soc::DeviceSpec &spec)
-{
-    const auto &g = spec.gpu;
-    const double step = (g.max_freq_ghz - g.min_freq_ghz) /
-                        static_cast<double>(g.dvfs_levels - 1);
-    std::vector<double> out;
-    for (int l = 0; l < g.dvfs_levels; ++l)
-        out.push_back(
-            std::min(1.0, (g.min_freq_ghz + step * l) / g.max_freq_ghz));
-    return out;
-}
-
-TEST(CostModelMemo, WarmModelMatchesFreshModelBitwise)
-{
-    for (const auto &dev_name : soc::deviceNames()) {
-        const auto spec = soc::deviceByName(dev_name);
-        const auto levels = dvfsFractions(spec);
-        for (const auto &model : models::allModelNames()) {
-            for (const auto prec :
-                 {soc::Precision::Int8, soc::Precision::Fp32}) {
-                trt::BuilderConfig cfg;
-                cfg.precision = prec;
-                const auto engine = trt::Builder(spec).build(
-                    models::modelByName(model), cfg);
-                const auto &kernels = engine.kernels();
-
-                KernelCostModel warm(spec);
-                for (const double f : levels)
-                    for (const auto &k : kernels)
-                        warm.timing(k, f);
-                ASSERT_EQ(warm.memoSize(),
-                          levels.size() * kernels.size());
-
-                for (const double f : levels) {
-                    KernelCostModel fresh(spec);
-                    sim::Rng hit_rng(17), miss_rng(17);
-                    for (const auto &k : kernels) {
-                        SCOPED_TRACE(dev_name + " " + model + " " +
-                                     k.name + " f=" + std::to_string(f));
-                        expectSameTiming(warm.timing(k, f, &hit_rng),
-                                         fresh.timing(k, f, &miss_rng));
-                    }
-                    EXPECT_EQ(hit_rng.next(), miss_rng.next());
-                }
-                EXPECT_EQ(warm.memoSize(),
-                          levels.size() * kernels.size());
-            }
-        }
-    }
-}
-
-TEST(CostModelMemo, DescriptorMutatedInPlaceIsRecomputed)
-{
-    const auto spec = soc::orinNano();
-    const std::vector<std::function<void(KernelDesc &)>> mutations = {
-        [](KernelDesc &k) { k.flops *= 3.0; },
-        [](KernelDesc &k) { k.bytes *= 50.0; },
-        [](KernelDesc &k) { k.efficiency_scale = 0.5; },
-        [](KernelDesc &k) { k.blocks = 3; },
-        [](KernelDesc &k) { k.tc_stall_factor = 2.0; },
-        [](KernelDesc &k) { k.issue_intensity = 0.9; },
-        [](KernelDesc &k) { k.prec = soc::Precision::Int8; },
-        [](KernelDesc &k) { k.tc = false; },
-    };
-    KernelCostModel m(spec);
-    KernelDesc k = bigTcKernel();
-    for (const auto &mutate : mutations) {
-        const auto before = m.timing(k, 0.8);
-        mutate(k);
-        const auto after = m.timing(k, 0.8);
-        KernelCostModel fresh(spec);
-        expectSameTiming(after, fresh.timing(k, 0.8));
-        EXPECT_FALSE(before.duration == after.duration &&
-                     sameBits(before.sm_active, after.sm_active) &&
-                     sameBits(before.issue_slot, after.issue_slot) &&
-                     sameBits(before.tc_util, after.tc_util) &&
-                     sameBits(before.bw_util, after.bw_util))
-            << "mutation changed no output; the test proves nothing";
-    }
-}
-
-TEST(CostModelMemo, NewDescriptorAtAReusedAddressIsRecomputed)
-{
-    const auto spec = soc::orinNano();
-    KernelCostModel m(spec);
-    std::optional<KernelDesc> slot;
-    slot.emplace(bigTcKernel());
-    const KernelDesc *first = &*slot;
-    const auto t1 = m.timing(*slot, 1.0);
-    KernelDesc other = bigTcKernel(soc::Precision::Int8);
-    other.flops = 7e8;
-    other.blocks = 20;
-    slot.emplace(other);
-    ASSERT_EQ(&*slot, first);
-    const auto t2 = m.timing(*slot, 1.0);
-    KernelCostModel fresh(spec);
-    expectSameTiming(t2, fresh.timing(other, 1.0));
-    EXPECT_NE(t1.duration, t2.duration);
-}
-
-TEST(CostModelMemo, GrowthStopsAtTheCapWithoutChangingResults)
-{
-    const auto spec = soc::orinNano();
-    KernelCostModel m(spec);
-    const KernelDesc k = bigTcKernel();
-    const std::size_t n = KernelCostModel::kMemoMaxEntries + 100;
-    for (std::size_t i = 0; i < n; ++i)
-        m.timing(k, 0.5 + 0.5 * static_cast<double>(i) /
-                              static_cast<double>(n));
-    EXPECT_EQ(m.memoSize(), KernelCostModel::kMemoMaxEntries);
-    for (const double f : {0.5, 0.75, 0.99999}) {
-        KernelCostModel fresh(spec);
-        expectSameTiming(m.timing(k, f), fresh.timing(k, f));
-    }
-}
-
-TEST(CostModelMemo, DegenerateInputsReportOnEveryCall)
-{
-    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-    KernelCostModel m(soc::orinNano());
-    check::ScopedCapture cap;
-
-    KernelDesc bad = bigTcKernel();
-    bad.flops = kNaN;
-    for (int i = 0; i < 3; ++i)
-        m.timing(bad, 1.0);
-    EXPECT_EQ(cap.count(check::Invariant::Plausibility), 3u);
-
-    const KernelDesc good = bigTcKernel();
-    for (int i = 0; i < 3; ++i)
-        m.timing(good, kNaN);
-    EXPECT_EQ(cap.count(check::Invariant::Plausibility), 6u);
-    for (int i = 0; i < 3; ++i)
-        m.timing(good, 1.5);
-    EXPECT_EQ(cap.count(check::Invariant::Plausibility), 9u);
-    EXPECT_EQ(m.memoSize(), 0u); // nothing that failed a check stored
-
-    m.timing(good, 1.0);
-    m.timing(good, 1.0);
-    EXPECT_EQ(cap.count(check::Invariant::Plausibility), 9u);
-    EXPECT_EQ(m.memoSize(), 1u);
 }
 
 } // namespace
