@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "core/bottleneck.hh"
 #include "core/env.hh"
@@ -24,31 +23,6 @@
 #include "soc/device_spec.hh"
 
 namespace jetsim::bench {
-
-/**
- * The host facts every committed BENCH_*.json is stamped with —
- * numbers recorded on different host classes are not comparable:
- * the detected core count and the compiler that built the binary.
- */
-inline std::string
-hostNote()
-{
-#if defined(__clang__)
-    const char *compiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-    const char *compiler = "GCC " __VERSION__;
-#else
-    const char *compiler = "unknown compiler";
-#endif
-#if defined(__OPTIMIZE__)
-    const char *opt = "optimised";
-#else
-    const char *opt = "unoptimised";
-#endif
-    return std::to_string(std::thread::hardware_concurrency()) +
-           "-core host, " + compiler + " (" + opt +
-           "); shared host, min over repetitions";
-}
 
 /** Progress callback for sweeps: one stderr line per cell. */
 inline core::ProgressFn

@@ -12,61 +12,28 @@
 
 #include "bench_util.hh"
 
-#include "cpu/scheduler.hh"
-#include "gpu/engine.hh"
-#include "models/zoo.hh"
+#include "core/fleet.hh"
 #include "sim/logging.hh"
-#include "workload/serving_process.hh"
 
 using namespace jetsim;
 
 namespace {
 
-struct Point
-{
-    double offered;
-    double achieved;
-    double p50_ms;
-    double p99_ms;
-    std::size_t max_queue;
-};
-
-Point
+/** One yolov8n int8 server on @p device fed @p rate img/s of local
+ * Poisson arrivals: a one-board fleet with the balancer off. */
+core::FleetDeviceResult
 run(const std::string &device, double rate)
 {
-    sim::EventQueue eq;
-    soc::Board board(soc::deviceByName(device), eq);
-    board.start();
-    cpu::OsScheduler sched(board);
-    gpu::GpuEngine gpu(board);
-    const auto net = models::yolov8n();
-
-    workload::ServingConfig cfg;
-    cfg.name = "srv";
-    cfg.build.precision = soc::Precision::Int8;
-    cfg.arrival_rate = rate;
-    workload::ServingProcess p(board, sched, gpu, net, cfg);
-    if (!p.deploy())
-        sim::fatal("deploy failed");
-    p.start();
-    eq.runUntil(sim::msec(500));
-    p.beginMeasurement();
-    const sim::Tick dur = core::env().quick ? sim::sec(1) : sim::sec(4);
-    eq.runUntil(eq.now() + dur);
-    p.endMeasurement();
-    p.stopArrivals();
-
-    Point pt;
-    pt.offered = rate;
-    pt.achieved = p.achievedThroughput();
-    pt.p50_ms = p.requestLatency().empty()
-                    ? 0.0
-                    : p.requestLatency().median() / 1e6;
-    pt.p99_ms = p.requestLatency().empty()
-                    ? 0.0
-                    : p.requestLatency().quantile(0.99) / 1e6;
-    pt.max_queue = p.maxQueueDepth();
-    return pt;
+    core::FleetSpec spec;
+    core::FleetDevice dev;
+    dev.device = device;
+    dev.model = "yolov8n";
+    dev.local_rate = rate;
+    spec.devices = {dev};
+    spec.balancer_rate = 0.0;
+    spec.warmup = sim::msec(500);
+    spec.duration = core::env().quick ? sim::sec(1) : sim::sec(4);
+    return core::runFleet(spec).devices[0];
 }
 
 } // namespace
@@ -85,11 +52,12 @@ main()
                             300.0, 400.0}) {
             std::fprintf(stderr, "  running %s @ %.0f img/s\n", device,
                          rate);
-            const auto pt = run(device, rate);
-            t.addRow({prof::fmt(pt.offered, 0),
-                      prof::fmt(pt.achieved, 1),
-                      prof::fmt(pt.p50_ms), prof::fmt(pt.p99_ms),
-                      std::to_string(pt.max_queue)});
+            const auto r = run(device, rate);
+            if (!r.deployed)
+                sim::fatal("deploy failed");
+            t.addRow({prof::fmt(rate, 0), prof::fmt(r.throughput, 1),
+                      prof::fmt(r.p50_ms), prof::fmt(r.p99_ms),
+                      std::to_string(r.max_queue)});
         }
         t.print(std::cout);
         std::cout << "\n";

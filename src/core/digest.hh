@@ -47,6 +47,7 @@ struct DigestFields
     void add(Phase p) { d.add(static_cast<std::int64_t>(p)); }
     void add(const ExperimentSpec &s) { d.add(s.label()); }
     void add(const MixedExperimentSpec &s) { d.add(s.label()); }
+    void add(const FleetSpec &s) { d.add(s.label()); }
 
     void add(const prof::Cdf &c)
     {
@@ -69,19 +70,20 @@ struct DigestFields
     void add(const T &obj) { visitFields(obj, *this); }
 };
 
-/** Digest of every numeric field of a single-model result. */
-std::uint64_t resultDigest(const ExperimentResult &r);
-
-/** Digest of a heterogeneous (multi-tenant) result. */
-std::uint64_t resultDigest(const MixedExperimentResult &r);
-
 /**
- * Digest of a fleet result: the spec label, per-board serving
- * metrics, balancer decisions and the executed-event count.
- * GOLDEN_fleet.json records it for the committed fleet suite
- * (`simcheck --fleet-golden`, the `fleet_golden` ctest).
+ * Digest of a result: every field of its table, folded by
+ * DigestFields. GOLDEN_fleet.json records the fleet digests
+ * (`simcheck --fleet-golden`, the `fleet_golden` ctest); the runner
+ * goldens and jetbench/digests.json record the others.
  */
-std::uint64_t resultDigest(const FleetResult &r);
+template <class R>
+std::uint64_t
+resultDigest(const R &r)
+{
+    check::Digest d;
+    visitFields(r, DigestFields{d});
+    return d.value();
+}
 
 } // namespace jetsim::core
 

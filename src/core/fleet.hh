@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
 
@@ -106,6 +107,40 @@ struct FleetResult
 
 /** Simulate @p spec. */
 FleetResult runFleet(const FleetSpec &spec);
+
+// Field tables (see core/experiment.hh). The order is the fleet
+// digest's fold order, which GOLDEN_fleet.json records.
+
+template <class V>
+void
+fieldTable(Fields<FleetDeviceResult>, V &&v)
+{
+    using R = FleetDeviceResult;
+    v("name", &R::name);
+    v("device", &R::device);
+    v("deployed", &R::deployed);
+    v("arrived", &R::arrived);
+    v("served", &R::served);
+    v("throughput", &R::throughput);
+    v("p50_ms", &R::p50_ms);
+    v("p99_ms", &R::p99_ms);
+    v("max_ms", &R::max_ms);
+    v("max_queue", &R::max_queue);
+}
+
+template <class V>
+void
+fieldTable(Fields<FleetResult>, V &&v)
+{
+    using R = FleetResult;
+    v("spec", &R::spec);
+    v("all_deployed", &R::all_deployed);
+    v("devices", &R::devices);
+    v("total_throughput", &R::total_throughput);
+    v("p99_ms", &R::p99_ms);
+    v("dispatched", &R::dispatched);
+    v("events", &R::events);
+}
 
 } // namespace jetsim::core
 

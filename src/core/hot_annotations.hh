@@ -4,12 +4,12 @@
  *
  * The event core's performance contract (DESIGN.md §4j) is that the
  * steady-state dispatch path performs no heap allocation, acquires no
- * lock, never throws, and never enters the kernel. PR 4 and PR 9 made
- * that true and proved it with runtime probes (`micro_sim
- * --assert-sbo`, the operator-new-counting test, TSan); jethot closes
- * the loop statically: it walks the call graph from every JETSIM_HOT
- * root and proves no forbidden operation is *reachable*, the same way
- * jetrace proves lock-order discipline.
+ * lock, never throws, and never enters the kernel. Runtime probes
+ * check that for the paths they run (the operator-new counting tests
+ * EventPoolAlloc and KernelPathAllocs, TSan); jethot closes the loop
+ * statically: it walks the call graph from every JETSIM_HOT root and
+ * proves no forbidden operation is *reachable*, the same way jetrace
+ * proves lock-order discipline.
  *
  * All three macros expand to nothing in every build configuration —
  * they cost zero codegen, zero preprocessor branches, and are safe in
@@ -49,9 +49,10 @@
  *   allow(<rule>) <why>    — suppress one rule on one line
  *
  * The runtime cross-check: every `noteSboMiss()` caller — the
- * counters `micro_sim --assert-sbo` gates on — must sit on a line
- * covered by JETSIM_COLD_OK, so the static escape set and the runtime
- * probe set name exactly the same heap-fallback sites.
+ * counters the EventPoolAlloc and KernelPathAllocs tests hold at
+ * zero — must sit on a line covered by JETSIM_COLD_OK, so the static
+ * escape set and the runtime probe set name exactly the same
+ * heap-fallback sites.
  */
 
 #ifndef JETSIM_CORE_HOT_ANNOTATIONS_HH

@@ -13,8 +13,7 @@
  *
  * The wrappers are zero-cost: LockGuard is std::lock_guard with
  * attributes, Mutex is std::mutex with attributes; everything
- * inlines to the identical pthread calls (verified perf-neutral in
- * BENCH_runner.json after the PR-7 migration).
+ * inlines to the identical pthread calls.
  *
  * Header-only so the lowest layers (sim, check) can use it without a
  * link dependency on jetsim_core.

@@ -17,7 +17,7 @@ Thread::exec(sim::Tick work, sim::InlineFn done)
     // queue, so EventQueue::schedule never sees its SBO state; count
     // the miss against the queue it will eventually fire on.
     if (done.onHeap())
-        JETSIM_COLD_OK("SBO miss: work-item capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
+        JETSIM_COLD_OK("SBO miss: work-item capture spilled past 48 bytes; counted, asserted zero across a real cell by KernelPathAllocs.AllocationsPerEcDoNotGrowWithKernelsPerEc")
         sched_.eq().noteSboMiss();
     JETSIM_COLD_OK("amortized: per-thread work ring reuses its storage, grows only past its deepest queue so far")
     queue_.push_back(WorkItem{work, std::move(done)});

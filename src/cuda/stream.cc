@@ -46,7 +46,7 @@ Stream::onComplete(std::uint64_t target, sim::InlineFn cb)
     // Waiters park outside the event queue; attribute SBO misses to
     // the queue their completion will fire on.
     if (cb.onHeap())
-        JETSIM_COLD_OK("SBO miss: waiter capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
+        JETSIM_COLD_OK("SBO miss: waiter capture spilled past 48 bytes; counted, asserted zero across a real cell by KernelPathAllocs.AllocationsPerEcDoNotGrowWithKernelsPerEc")
         engine_.eq().noteSboMiss();
     JETSIM_COLD_OK("amortized: waiter list bounded by outstanding host syncs")
     waiters_.push_back(Waiter{target, std::move(cb)});

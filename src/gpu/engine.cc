@@ -66,7 +66,7 @@ GpuEngine::submit(int channel, const KernelDesc *k, Callback done)
     // Queued completions live in the channel, outside the event
     // queue's own SBO accounting; attribute heap fallbacks here.
     if (done.onHeap())
-        JETSIM_COLD_OK("SBO miss: completion capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
+        JETSIM_COLD_OK("SBO miss: completion capture spilled past 48 bytes; counted, asserted zero across a real cell by KernelPathAllocs.AllocationsPerEcDoNotGrowWithKernelsPerEc")
         eq_.noteSboMiss();
     JETSIM_COLD_OK("amortized: per-channel ring reuses its storage, grows only past its deepest queue so far")
     ch.queue.push_back(Queued{k, std::move(done), eq_.now()});

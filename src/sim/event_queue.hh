@@ -254,8 +254,8 @@ class EventQueue
      * here, plus component-held callbacks the owning components
      * attribute via noteSboMiss(). Per-queue counting keeps each
      * cell's stats attributable when cells run side by side; the
-     * process-wide aggregate (InlineFn::heapFallbackCount, used by
-     * `micro_sim --assert-sbo`) is unchanged.
+     * process-wide aggregate (InlineFn::heapFallbackCount) is
+     * unchanged.
      */
     Stats stats() const;
 
@@ -266,7 +266,7 @@ class EventQueue
      * waiters) call this so per-queue SBO accounting stays complete —
      * schedule() already counts callbacks it stores itself.
      */
-    JETSIM_COLD_OK("SBO miss ledger: attribution counter for externally-held callbacks, asserted zero by micro_sim --assert-sbo")
+    JETSIM_COLD_OK("SBO miss ledger: attribution counter for externally-held callbacks, asserted zero across a real cell by KernelPathAllocs.AllocationsPerEcDoNotGrowWithKernelsPerEc")
     void noteSboMiss() { ++sbo_misses_; }
 
     /**
@@ -495,7 +495,7 @@ EventQueue::scheduleKeyed(Tick when, Callback cb, int priority,
         priority = priority < kPriPackMin ? kPriPackMin : kPriPackMax;
     }
     if (cb.onHeap())
-        JETSIM_COLD_OK("SBO miss: capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
+        JETSIM_COLD_OK("SBO miss: capture spilled past 48 bytes; counted, asserted zero by EventPoolAlloc.SteadyStateSchedulePathDoesNotAllocate and KernelPathAllocs.AllocationsPerEcDoNotGrowWithKernelsPerEc")
         ++sbo_misses_;
     const Index idx = pool_.alloc(std::move(cb));
     heapPush(makeKey(when, priority, seq), idx);

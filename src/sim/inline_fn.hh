@@ -7,11 +7,11 @@
  * std::function heap-allocates for anything beyond two words;
  * InlineFn stores captures up to kInlineSize bytes in place and only
  * falls back to the heap beyond that. Fallbacks are counted twice
- * over: a process-wide aggregate here (heapFallbackCount, the
- * `micro_sim --assert-sbo` gate) and per event queue
- * (EventQueue::stats().sbo_misses — schedule() counts callbacks it
- * stores, components holding callbacks outside a queue attribute
- * theirs via EventQueue::noteSboMiss), so every miss is
+ * over: a process-wide aggregate here (heapFallbackCount, held at
+ * zero on the schedule path by the EventPoolAlloc tests) and per
+ * event queue (EventQueue::stats().sbo_misses — schedule() counts
+ * callbacks it stores, components holding callbacks outside a queue
+ * attribute theirs via EventQueue::noteSboMiss), so every miss is
  * attributable to the queue that paid for it.
  *
  * Contract: callbacks whose capture state is <= kInlineSize bytes,
@@ -60,7 +60,7 @@ class InlineFn
             ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
             ops_ = &kInlineOps<D>;
         } else {
-            JETSIM_COLD_OK("SBO miss ledger: counted here, asserted zero by micro_sim --assert-sbo")
+            JETSIM_COLD_OK("SBO miss ledger: counted here, asserted zero by EventPoolAlloc.SteadyStateSchedulePathDoesNotAllocate")
             detail::g_inline_fn_heap_fallbacks.fetch_add(
                 1, std::memory_order_relaxed);
             JETSIM_COLD_OK("SBO fallback arm: only reached by captures past 48 bytes, which the gate above proves absent in hot runs")

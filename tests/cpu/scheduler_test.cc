@@ -241,6 +241,38 @@ TEST(Scheduler, ResetStatsZeroesCounters)
     EXPECT_EQ(t->dispatches(), 0u);
 }
 
+/**
+ * Contention volume: 2, 8 and 16 threads racing for the cores on a
+ * fresh board, 5000 rounds each (about 4 x 10^5 events). Every thread
+ * must finish its work and the queue must drain.
+ */
+TEST(SchedulerVolume, ContendedThreadsAllCompleteAndDrain)
+{
+    constexpr int kRounds = 5000;
+    const sim::Tick work = sim::msec(5);
+    for (const int n : {2, 8, 16}) {
+        std::vector<sim::NameId> ids;
+        for (int i = 0; i < n; ++i)
+            ids.push_back(sim::internName("t" + std::to_string(i)));
+        for (int round = 0; round < kRounds; ++round) {
+            Rig r;
+            int done = 0;
+            std::vector<Thread *> ts;
+            for (int i = 0; i < n; ++i) {
+                ts.push_back(r.sched.createThread(ids[i]));
+                ts.back()->exec(work, [&done] { ++done; });
+            }
+            r.eq.runAll();
+            ASSERT_EQ(done, n) << n << " threads, round " << round;
+            ASSERT_EQ(r.eq.pending(), 0u);
+            for (auto *t : ts) {
+                ASSERT_GE(t->cpuTime(), work);
+                ASSERT_EQ(t->state(), Thread::State::Idle);
+            }
+        }
+    }
+}
+
 /** Invariant sweep over thread counts. */
 class SchedulerLoad : public ::testing::TestWithParam<int>
 {

@@ -328,6 +328,45 @@ TEST(EventPoolAlloc, OversizedCaptureCountsAsSboMiss)
     eq.runAll();
 }
 
+// ------------------------------------------------------------- volume
+
+// About 10^6 events through fresh 1000-event queues, plain and with
+// every other event cancelled before the run: slot recycling, lazy
+// deletion at pop and the JetSan key-order checks under volume. Speed
+// is jetbench's job (sim.queue_ns_per_event); this asserts the counts.
+TEST(EventPoolVolume, MillionEventsThroughFreshQueues)
+{
+    constexpr int kQueues = 1000;
+    constexpr int kEvents = 1000;
+    std::uint64_t ran = 0;
+    for (int q = 0; q < kQueues; ++q) {
+        EventQueue eq;
+        for (int i = 0; i < kEvents; ++i)
+            eq.schedule(i, [&ran] { ++ran; });
+        ASSERT_EQ(eq.runAll(), std::uint64_t{kEvents});
+    }
+    EXPECT_EQ(ran, std::uint64_t{kQueues} * kEvents);
+
+    ran = 0;
+    std::vector<EventQueue::Handle> handles;
+    handles.reserve(kEvents / 2);
+    for (int q = 0; q < kQueues; ++q) {
+        EventQueue eq;
+        handles.clear();
+        for (int i = 0; i < kEvents; ++i) {
+            auto h = eq.schedule(i, [&ran] { ++ran; });
+            if (i % 2 == 0)
+                handles.push_back(std::move(h));
+        }
+        for (auto &h : handles)
+            h.cancel();
+        ASSERT_EQ(eq.runAll(), std::uint64_t{kEvents / 2});
+        ASSERT_EQ(eq.stats().cancelled, std::uint64_t{kEvents / 2});
+        ASSERT_TRUE(eq.empty());
+    }
+    EXPECT_EQ(ran, std::uint64_t{kQueues} * (kEvents / 2));
+}
+
 // ------------------------------------------------------ stats/shrink
 
 TEST(EventQueueStats, TracksPeakPendingAndShrinks)

@@ -3,7 +3,7 @@
  * Tests for sim::InlineFn: the heap-fallback path for captures beyond
  * kInlineSize, the fixed-size move recipes vs. the relocate path,
  * self-move safety, and the monotonic process-wide fallback counter
- * that EventQueue::stats() / micro_sim --json surface.
+ * that EventPoolAlloc and EventQueue::stats() read.
  */
 
 #include "sim/inline_fn.hh"

@@ -40,14 +40,14 @@ JETHOT_MOD = load_jethot_module()
 
 
 class AuditMixin:
-    """audit() one in-memory fixture with the lexical backend."""
+    """audit() one in-memory fixture."""
 
     def audit_src(self, src, name="fixture.cc"):
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, name)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(src)
-            return JETHOT_MOD.audit([path], td, backend="lex")
+            return JETHOT_MOD.audit([path], td)
 
     def rules_of(self, findings):
         return sorted({f["rule"] for f in findings})
@@ -253,8 +253,7 @@ class CliContractTest(unittest.TestCase):
                     f.write(path_src)
                 extra = ["--root", td, p]
             return subprocess.run(
-                [sys.executable, JETHOT, "--backend", "lex"]
-                + args + extra,
+                [sys.executable, JETHOT] + args + extra,
                 capture_output=True, text=True)
 
     def test_selftest_passes(self):
@@ -302,7 +301,7 @@ class CliContractTest(unittest.TestCase):
         every runtime heap-fallback site covered."""
         root = os.path.join(TOOLS, os.pardir)
         proc = subprocess.run(
-            [sys.executable, JETHOT, "--backend", "lex", "--json",
+            [sys.executable, JETHOT, "--json",
              "--root", root, os.path.join(root, "src")],
             capture_output=True, text=True)
         self.assertEqual(proc.returncode, 0, proc.stdout[-4000:])

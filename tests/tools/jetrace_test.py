@@ -37,10 +37,6 @@ def load_jetrace_module():
 
 JETRACE_MOD = load_jetrace_module()
 
-# Every fixture is audited with the lexical backend so the results do
-# not depend on whether libclang bindings happen to be installed.
-BASE_ARGS = ["--backend", "lex"]
-
 
 def run_audit(source, extra_args=None, filename="probe.cc"):
     """Audit one synthetic file; returns (exit_code, stdout)."""
@@ -49,7 +45,7 @@ def run_audit(source, extra_args=None, filename="probe.cc"):
         with open(path, "w", encoding="utf-8") as f:
             f.write(source)
         proc = subprocess.run(
-            [sys.executable, JETRACE] + BASE_ARGS +
+            [sys.executable, JETRACE] +
             (extra_args or []) + ["--root", td, path],
             capture_output=True, text=True)
         return proc.returncode, proc.stdout
@@ -132,8 +128,7 @@ class JetraceLocks(unittest.TestCase):
             with open(path, "w", encoding="utf-8") as f:
                 f.write("class Mutex { std::mutex m_; };\n")
             proc = subprocess.run(
-                [sys.executable, JETRACE] + BASE_ARGS +
-                ["--root", td, path],
+                [sys.executable, JETRACE, "--root", td, path],
                 capture_output=True, text=True)
             self.assertEqual(proc.returncode, 0, proc.stdout)
 
@@ -291,7 +286,7 @@ class JetraceHarness(unittest.TestCase):
         # The tree itself must satisfy its own discipline, and its
         # lock graph must be acyclic — the gate ci.sh pass 1f holds.
         proc = subprocess.run(
-            [sys.executable, JETRACE] + BASE_ARGS + ["--json"],
+            [sys.executable, JETRACE, "--json"],
             capture_output=True, text=True)
         self.assertEqual(proc.returncode, 0, proc.stdout)
         doc = json.loads(proc.stdout)

@@ -12,13 +12,15 @@
 #   3. tidy      - clang-tidy over src/, tools/ and tests/ (skipped
 #                  with a warning when clang-tidy is not installed)
 #
-# Pass 1 also runs a perf smoke (1c): the event-core microbenchmarks
-# at short min-time — not for numbers (CI hosts are noisy) but so a
-# perf-path assert/regression that only triggers at benchmark volume
-# fails CI — plus the golden-digest runner tests, which prove the
-# pooled event core still dispatches in the bit-identical order the
-# committed digests were recorded from, and the fleet goldens
+# Pass 1c re-runs, by name, the ctest cases that guard the event core
+# at volume and its zero-heap-fallback contract: ~10^6 events through
+# fresh queues (plain and cancel-heavy) and 2/8/16-thread scheduler
+# contention with JetSan on, the operator-new counting tests that
+# hold every SBO miss counter at zero, the golden-digest runner tests
+# (the pooled event core still dispatches in the bit-identical order
+# the committed digests were recorded from) and the fleet goldens
 # (GOLDEN_fleet.json, including a 256-board hierarchical config).
+# Speed itself is measured by jetbench (pass 1h), not gated here.
 #
 # Pass 1d is the bounded model check (jetmc): the seeded-deadlock
 # self-test must find its counterexample and replay it, then small
@@ -109,17 +111,19 @@ if [ "$run_plain" = 1 ]; then
     # Source-level determinism lint: wall-clock / rand() / getenv /
     # unordered iteration must not enter simulation code.
     python3 "$repo/tools/detlint.py" | tail -1
-    banner "pass 1c: perf smoke + golden digest check"
-    # Short-min-time run of the event-core microbenchmarks: catches
-    # perf-path asserts (pool recycling, SBO fallback, JetSan key
-    # order) that only fire at benchmark volume. Numbers themselves
-    # are not gated — CI hosts are too noisy.
-    "$repo/build-ci/plain/bench/micro_sim" \
-        --benchmark_min_time=0.05 \
-        --benchmark_filter='BM_EventQueue.*|BM_SchedulerContention.*'
-    # Steady-state schedule path must stay allocation-free: any
-    # InlineFn capture outgrowing the inline buffer fails here.
-    "$repo/build-ci/plain/bench/micro_sim" --assert-sbo
+    banner "pass 1c: volume + zero-SBO + golden digest check"
+    # Event-core volume: pool recycling, lazy cancellation and the
+    # JetSan key-order checks under ~10^6 events, and every contended
+    # scheduler thread completing with the queue drained.
+    "$repo/build-ci/plain/tests/sim_tests" \
+        --gtest_filter='EventPoolVolume.*:EventPoolAlloc.*' \
+        --gtest_brief=1
+    "$repo/build-ci/plain/tests/cpu_tests" \
+        --gtest_filter='SchedulerVolume.*' --gtest_brief=1
+    # Zero heap fallbacks across a real cell: no callback of the
+    # kernel path (GPU completions, thread work, stream waiters)
+    # spills past InlineFn's inline buffer.
+    "$repo/build-ci/plain/tests/alloc_tests" --gtest_brief=1
     # Golden digests: the pooled event core must dispatch in the
     # bit-identical order the committed serial digests encode, on
     # both boards and across runner thread counts.
@@ -223,8 +227,8 @@ EOF
     # Zero findings over src/: nothing reachable from a hot root
     # allocates, locks, throws, blocks, or reads the environment
     # outside an explicit JETSIM_COLD_OK / boundary escape — and
-    # every runtime heap-fallback counter site (what micro_sim
-    # --assert-sbo counts) is covered by a ledgered escape, so the
+    # every runtime heap-fallback counter site (what pass 1c's
+    # zero-SBO tests count) is covered by a ledgered escape, so the
     # static escape set and the runtime SBO accounting name the
     # same sites.
     python3 "$repo/tools/jethot.py" --json > \

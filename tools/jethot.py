@@ -3,10 +3,10 @@
 
 The event core's performance contract (DESIGN.md §4j) says the
 steady-state dispatch path allocates nothing, locks nothing, throws
-nothing, and never enters the kernel. PR 4 / PR 9 made that true and
-probe it at runtime (`micro_sim --assert-sbo`, the operator-new
-counting test, TSan); jethot proves it *statically*, the way jetrace
-proves lock-order discipline: a call-graph reachability pass from
+nothing, and never enters the kernel. Runtime probes check it on the
+paths they run (the operator-new counting tests EventPoolAlloc and
+KernelPathAllocs, TSan); jethot proves it *statically*, the way
+jetrace proves lock-order discipline: a call-graph reachability pass from
 annotated hot roots, where any reachable forbidden operation is a
 finding reported with its full call chain.
 
@@ -40,16 +40,10 @@ seeds hot-path alloc / lock / throw violations (plus spin, boundary,
 cold-ok and sbo fixtures) and checks each is found with a *minimised*
 chain, mirroring the jetrace/jetmc cross-check pattern.
 
-Backends: the lexical engine (tools/cpplex.py, shared with
-jetrace/detlint) is the tested, always-available path. With the
-libclang Python bindings importable (`--backend libclang`/`auto`),
-AST-walked call edges augment the lexical graph (catching calls the
-regex misses); rule matching stays lexical either way. This container
-ships no bindings, so `auto` is lexical here.
+The lexical engine (tools/cpplex.py) is shared with jetrace/detlint.
 
 Usage: tools/jethot.py [--root DIR] [--json] [--sarif] [--dot]
-                       [--selftest] [--backend auto|lex|libclang]
-                       [--list-rules] [paths...]
+                       [--selftest] [--list-rules] [paths...]
 Exit: 0 clean, 1 findings (or failed self-test), 2 usage error.
 
 --json emits {"schema_version": 1, "tool": "jethot", "findings":
@@ -272,8 +266,8 @@ def scan_file(path, rel, an):
                     "message": "runtime heap-fallback counter site "
                                "without a JETSIM_COLD_OK escape — "
                                "the static escape set must name "
-                               "every site micro_sim --assert-sbo "
-                               "counts", "chain": []})
+                               "every site the runtime SBO counters "
+                               "count", "chain": []})
 
     w = cpplex.Walker()
     fn_stack = []      # keys of enclosing function records
@@ -410,49 +404,6 @@ def scan_file(path, rel, an):
     w.run(code_lines)
 
 
-def try_libclang():
-    try:
-        import clang.cindex as ci  # noqa: F401
-        return ci
-    except Exception:
-        return None
-
-
-def libclang_edges(ci, path, rel, include_dir, an):
-    """AST refinement: add call edges the lexical pass may have
-    missed (overload sets, operator calls). Rule matching stays
-    lexical — the AST only widens reachability, so it can only make
-    the audit stricter, never hide a finding."""
-    tu = ci.Index.create().parse(
-        path, args=["-std=c++20", "-x", "c++", "-I" + include_dir])
-
-    def walk(cur, fn_key):
-        for c in cur.get_children():
-            if c.location.file and str(c.location.file) != path:
-                continue
-            k = fn_key
-            if c.kind in (ci.CursorKind.FUNCTION_DECL,
-                          ci.CursorKind.CXX_METHOD,
-                          ci.CursorKind.CONSTRUCTOR,
-                          ci.CursorKind.DESTRUCTOR) and \
-                    c.is_definition():
-                k = c.spelling
-                sp = c.semantic_parent
-                if sp is not None and sp.kind in (
-                        ci.CursorKind.CLASS_DECL,
-                        ci.CursorKind.STRUCT_DECL,
-                        ci.CursorKind.CLASS_TEMPLATE):
-                    k = f"{sp.spelling}::{k}"
-                an.rec(k, k)["defs"].append(
-                    (rel, c.location.line))
-            elif c.kind == ci.CursorKind.CALL_EXPR and k:
-                an.rec(k, k)["calls"].append(
-                    (c.spelling, rel, c.location.line))
-            walk(c, k)
-
-    walk(tu.cursor, None)
-
-
 def build_resolver(an):
     """Map a callee name as written to candidate record keys: exact
     key first, then the caller's own class (mirroring C++ member
@@ -525,21 +476,11 @@ def propagate(an):
     return findings, roots, visited, scannable, used_escapes
 
 
-def audit(files, root, backend="lex"):
+def audit(files, root):
     an = Analysis()
     for path in files:
         rel = os.path.relpath(path, root) if root else path
         scan_file(path, rel, an)
-    if backend != "lex":
-        ci = try_libclang()
-        if ci is not None:
-            src_dir = os.path.join(root, "src") if root else "."
-            for path in files:
-                rel = os.path.relpath(path, root) if root else path
-                try:
-                    libclang_edges(ci, path, rel, src_dir, an)
-                except Exception:
-                    pass  # AST refinement is best-effort
     findings, roots, visited, scannable, used = propagate(an)
     summary = {
         "roots": sorted(an.functions[k]["display"] for k in roots),
@@ -751,10 +692,6 @@ def main():
     ap.add_argument("--selftest", action="store_true",
                     help="audit the embedded seeded-violation "
                          "fixtures")
-    ap.add_argument("--backend", default="auto",
-                    choices=["auto", "lex", "libclang"],
-                    help="call-edge backend (libclang augments the "
-                         "lexical graph when the bindings import)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule table and exit")
     ap.add_argument("paths", nargs="*",
@@ -777,12 +714,7 @@ def main():
         print("jethot: no input files", file=sys.stderr)
         return 2
 
-    if args.backend == "libclang" and try_libclang() is None:
-        print("jethot: libclang Python bindings not importable; "
-              "install them or use --backend=lex", file=sys.stderr)
-        return 2
-
-    findings, summ, an = audit(files, root, backend=args.backend)
+    findings, summ, an = audit(files, root)
 
     if args.dot:
         print("digraph hot_reach {")

@@ -36,20 +36,11 @@ counterexample jetmc found dynamically: the model the schedule-space
 checker deadlocked must be the inverted one — static and dynamic
 analyses must agree on which discipline is broken.
 
-Backends: when the libclang Python bindings are importable
-(`--backend=libclang` or `auto`), the shared-state inventory is taken
-from a real AST walk (VarDecl storage classes); the lock graph always
-comes from the idiom-driven lexical engine, which the core::Mutex
-discipline makes exact. Without bindings (this container ships none)
-`auto` falls back to the lexical inventory, which is tested
-fixture-by-fixture in tests/tools/jetrace_test.py.
-
 The lexical engine itself (noise stripping, scope walking, Tarjan,
 SARIF) is shared with jethot/detlint via tools/cpplex.py.
 
 Usage: tools/jetrace.py [--root DIR] [--json] [--sarif] [--dot]
                         [--selftest] [--jetmc-ce FILE]
-                        [--backend auto|lex|libclang]
                         [--list-rules] [paths...]
 Exit: 0 clean, 1 findings (or failed self-test), 2 usage error.
 
@@ -362,40 +353,6 @@ def build_lock_graph(analyses):
     return nodes, edges
 
 
-def try_libclang():
-    try:
-        import clang.cindex as ci  # noqa: F401
-        return ci
-    except Exception:
-        return None
-
-
-def libclang_inventory(ci, path, include_dir):
-    """AST-walk inventory of static-storage VarDecls (libclang
-    backend). Returns [(line, name)] candidates; classification still
-    uses the source text, which carries the annotations."""
-    tu_index = ci.Index.create()
-    tu = tu_index.parse(path, args=["-std=c++20", "-x", "c++",
-                                    "-I" + include_dir])
-    out = []
-    def walk(cur):
-        for c in cur.get_children():
-            if str(c.location.file) != path:
-                continue
-            if c.kind == ci.CursorKind.VAR_DECL:
-                sc = c.storage_class
-                at_ns = c.semantic_parent.kind in (
-                    ci.CursorKind.TRANSLATION_UNIT,
-                    ci.CursorKind.NAMESPACE)
-                if at_ns or sc == ci.StorageClass.STATIC:
-                    t = c.type.spelling
-                    if "const" not in t:
-                        out.append((c.location.line, c.spelling))
-            walk(c)
-    walk(tu.cursor)
-    return out
-
-
 def audit(files, root):
     findings = []
     analyses = []
@@ -573,10 +530,6 @@ def main():
     ap.add_argument("--jetmc-ce", default=None, metavar="FILE",
                     help="with --selftest: cross-check against the "
                          "counterexample jetmc found dynamically")
-    ap.add_argument("--backend", default="auto",
-                    choices=["auto", "lex", "libclang"],
-                    help="inventory backend (default: libclang when "
-                         "the bindings are importable, else lexical)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule table and exit")
     ap.add_argument("paths", nargs="*",
@@ -599,49 +552,7 @@ def main():
         print("jetrace: no input files", file=sys.stderr)
         return 2
 
-    ci = None
-    if args.backend in ("auto", "libclang"):
-        ci = try_libclang()
-        if ci is None and args.backend == "libclang":
-            print("jetrace: libclang Python bindings not importable; "
-                  "install them or use --backend=lex", file=sys.stderr)
-            return 2
-        if ci is None and not (args.json or args.sarif):
-            print("jetrace: note: libclang bindings unavailable; "
-                  "using the lexical backend", file=sys.stderr)
-
     findings, inventory, lock_graph = audit(files, root)
-
-    if ci is not None:
-        # AST refinement: any static-storage VarDecl the lexical
-        # inventory missed becomes a finding too.
-        seen = set()
-        lex_names = {(f["path"], f["line"]) for f in findings}
-        src_dir = os.path.join(root, "src")
-        for path in files:
-            rel = os.path.relpath(path, root)
-            for line, name in libclang_inventory(ci, path, src_dir):
-                key = (rel, line)
-                if key in lex_names or key in seen:
-                    continue
-                seen.add(key)
-                with open(path, encoding="utf-8",
-                          errors="replace") as f:
-                    raw = f.read().splitlines()
-                code = raw[line - 1] if line - 1 < len(raw) else ""
-                if SYNC_TYPE_RE.search(code) or \
-                        GUARDED_BY_RE.search(code) or \
-                        "thread_local" in code or \
-                        annotation_comment(raw, line - 1) or \
-                        allowed(raw, line - 1, "unannotated-global"):
-                    continue
-                findings.append({
-                    "path": rel, "line": line,
-                    "rule": "unannotated-global",
-                    "message": f"'{name}' (libclang): mutable "
-                               f"static-storage object with no "
-                               f"classification"})
-        findings.sort(key=lambda f: (f["path"], f["line"], f["rule"]))
 
     if args.dot:
         print("digraph lock_order {")
